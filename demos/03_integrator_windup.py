@@ -27,7 +27,7 @@ for variant in (ps.Variant.SDM, ps.Variant.NM):
     traj = ps.simulate(scenario)
     rep = ps.report(traj, cert)
 
-    worst = float(traj.x_values().min())
+    worst = float(traj.x.min())
     residues = [s.state.xi / delta for s in traj.fire_samples()]
     print(f"{variant.value}: certificate "
           + ("feasible" if cert.feasible else f"withheld ({cert.reason})"))

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .core import (
     ActuatorSpec,
     Certificate,
@@ -65,9 +67,10 @@ def r_max(plant: PlantParams, t_c: float, l: int = 1) -> float:
     return growth / (growth - 1.0) * plant.alpha
 
 
-def envelope(t: float, x0: float, plant: PlantParams) -> tuple[float, float]:
-    """Certified (lower, upper) error bounds at time t; the lower bound is
-    exclusive, the upper inclusive.
+def envelope(t, x0: float, plant: PlantParams):
+    """Certified (lower, upper) error bounds at time t, a float or an array
+    of times; the lower bound is exclusive, the upper inclusive.  The bound
+    that depends on t has the shape of t, the other is a float.
 
     For x0 > 0 the upper bound decays geometrically per dwell interval and
     converges to alpha; for x0 <= 0 the lower bound follows the open-loop
@@ -76,8 +79,10 @@ def envelope(t: float, x0: float, plant: PlantParams) -> tuple[float, float]:
     if x0 > 0.0:
         upper = plant.gamma ** (t / plant.tau_d - 1.0) * x0 + plant.alpha
         return (-plant.alpha, upper)
-    lower = min(flow_x(x0, t, plant), -plant.alpha)
-    return (lower, plant.alpha)
+    if np.ndim(t):
+        climb = np.array([flow_x(x0, ti, plant) for ti in np.asarray(t).tolist()])
+        return (np.minimum(climb, -plant.alpha), plant.alpha)
+    return (min(flow_x(x0, t, plant), -plant.alpha), plant.alpha)
 
 
 def ub_ic_slow(plant: PlantParams) -> float:

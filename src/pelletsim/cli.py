@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from . import bounds, io, oracle, verify
 from .core import ValidationError
@@ -19,11 +20,7 @@ from .engine import Scenario, simulate
 def _load(path: str, samples_per_tick: int | None) -> Scenario:
     scenario = io.load_scenario(path)
     if samples_per_tick is not None:
-        scenario = Scenario(
-            scenario.plant, scenario.actuator, scenario.controller,
-            scenario.x0, scenario.t_end, scenario.xi0,
-            samples_per_tick, scenario.seed_note,
-        )
+        scenario = replace(scenario, samples_per_tick=samples_per_tick)
     return scenario
 
 

@@ -5,6 +5,12 @@ the preparation gate is still closed, only the tick timer resets.
 Otherwise a pellet fires: the error drops by alpha, both timers reset,
 and the membrane resets according to the variant.
 
+The gate counts in ticks, as the certificate does: at a tick boundary the
+preparation timer holds a whole number of ticks, and the gate opens once
+that number reaches ``ActuatorSpec.prep_ticks()``.  Comparing the timer
+with t_prep as floats instead would let rounding close the gate for one
+tick more on an exact multiple (7 * 0.003 sums to just under 0.021).
+
 When xi equals the threshold exactly the decision is ambiguous in the
 set-valued model; here the tie is resolved in favour of firing, since
 every stability argument only needs a fire no later than the first tick
@@ -61,9 +67,12 @@ def tick_jump(
             f"t_timer={state.t_timer!r} is not at the tick boundary t_c={actuator.t_c!r}"
         )
 
-    gate_open = (not actuator.prep_enabled) or state.t_prep_timer >= actuator.t_prep
     delta = controller.delta
-    if state.xi < delta * (1.0 - FIRING_SLACK) or not gate_open:
+    fires = state.xi >= delta * (1.0 - FIRING_SLACK) and (
+        not actuator.prep_enabled
+        or round(state.t_prep_timer / actuator.t_c) >= actuator.prep_ticks()
+    )
+    if not fires:
         # timer-only jump: everything except T carries over
         after = HybridState(
             x=state.x, xi=state.xi, t_timer=0.0, t_prep_timer=state.t_prep_timer

@@ -20,6 +20,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 
 class ValidationError(ValueError):
     """A parameter set violates a model invariant."""
@@ -186,56 +188,88 @@ class TrajectorySample:
 
 
 @dataclass(frozen=True)
-class Trajectory:
-    """Ordered samples over a hybrid time domain, with pellet-fire markers."""
-
-    samples: tuple[TrajectorySample, ...]
-    plant: PlantParams
-    controller: ControllerSpec
-    actuator: ActuatorSpec
-
-    def __len__(self) -> int:
-        return len(self.samples)
-
-    @property
-    def t_end(self) -> float:
-        return self.samples[-1].time.t if self.samples else 0.0
-
-    def times(self):
-        import numpy as np
-
-        return np.array([s.time.t for s in self.samples])
-
-    def x_values(self):
-        import numpy as np
-
-        return np.array([s.state.x for s in self.samples])
-
-    def xi_values(self):
-        import numpy as np
-
-        return np.array([s.state.xi for s in self.samples])
-
-    def fire_samples(self) -> tuple[TrajectorySample, ...]:
-        """Post-jump samples at which a pellet fired."""
-        return tuple(s for s in self.samples if s.fired)
-
-    def tick_events(self) -> tuple["TickEvent", ...]:
-        """(t, j_after, pre-jump state, post-jump state, fired) per tick."""
-        events = []
-        for a, b in zip(self.samples, self.samples[1:]):
-            if b.time.j == a.time.j + 1:
-                events.append(TickEvent(a.time.t, b.time.j, a.state, b.state, b.fired))
-        return tuple(events)
-
-
-@dataclass(frozen=True)
 class TickEvent:
     t: float
     j_after: int
     before: HybridState
     after: HybridState
     fired: bool
+
+
+# column name -> dtype, in row order
+_COLUMNS = (("t", np.float64), ("j", np.int64), ("x", np.float64), ("xi", np.float64),
+            ("fired", np.bool_))
+
+
+@dataclass(frozen=True, eq=False)
+class Trajectory:
+    """Samples over a hybrid time domain, held as read-only numpy columns.
+
+    Row i is the state (x[i], xi[i]) at hybrid time (t[i], j[i]); fired[i]
+    marks a post-jump row at which a pellet fired.  Every tick is a jump, so
+    j also counts the ticks so far.  The timers T and T_p are not stored:
+    ``timers()`` derives them from t, j and the fire times.
+    """
+
+    t: np.ndarray
+    j: np.ndarray
+    x: np.ndarray
+    xi: np.ndarray
+    fired: np.ndarray
+    plant: PlantParams
+    controller: ControllerSpec
+    actuator: ActuatorSpec
+
+    def __post_init__(self) -> None:
+        for name, dtype in _COLUMNS:
+            column = np.asarray(getattr(self, name), dtype=dtype)
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
+        if not len(self.t) == len(self.j) == len(self.x) == len(self.xi) == len(self.fired):
+            raise ValidationError("trajectory columns differ in length")
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    @property
+    def t_end(self) -> float:
+        return float(self.t[-1]) if len(self.t) else 0.0
+
+    def timers(self) -> tuple[np.ndarray, np.ndarray]:
+        """Columns T (time since the last tick, t - j*t_c) and T_p (time
+        since the last pellet, or since t = 0 before the first one)."""
+        last_fire = np.maximum.accumulate(np.where(self.fired, self.t, 0.0))
+        return self.t - self.j * self.actuator.t_c, self.t - last_fire
+
+    def jump_rows(self) -> np.ndarray:
+        """Indices of the post-jump rows; row i - 1 holds the pre-jump state."""
+        return np.flatnonzero(np.diff(self.j) == 1) + 1
+
+    def _rows(self, index) -> tuple[TrajectorySample, ...]:
+        T, T_p = self.timers()
+        columns = (self.t, self.j, self.x, self.xi, T, T_p, self.fired)
+        return tuple(
+            TrajectorySample(HybridTime(t, j), HybridState(x, xi, tt, tp), f)
+            for t, j, x, xi, tt, tp, f in zip(*(c[index].tolist() for c in columns))
+        )
+
+    @property
+    def samples(self) -> tuple[TrajectorySample, ...]:
+        """Every row as a TrajectorySample, built afresh on each access."""
+        return self._rows(slice(None))
+
+    def fire_samples(self) -> tuple[TrajectorySample, ...]:
+        """Post-jump samples at which a pellet fired."""
+        return self._rows(self.fired)
+
+    def tick_events(self) -> tuple[TickEvent, ...]:
+        """(t, j_after, pre-jump state, post-jump state, fired) per tick."""
+        after = self.jump_rows()
+        befores, afters = self._rows(after - 1), self._rows(after)
+        return tuple(
+            TickEvent(b.time.t, a.time.j, b.state, a.state, a.fired)
+            for b, a in zip(befores, afters)
+        )
 
 
 @dataclass(frozen=True)

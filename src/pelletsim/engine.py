@@ -13,16 +13,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import flow
 from .controllers import tick_jump
 from .core import (
     ActuatorSpec,
     ControllerSpec,
     HybridState,
-    HybridTime,
     PlantParams,
     Trajectory,
-    TrajectorySample,
     ValidationError,
     Variant,
     validate,
@@ -69,74 +69,65 @@ class Scenario:
             return self.controller.delta / self.actuator.t_c
         return None
 
-    def initial_state(self) -> HybridState:
-        return HybridState(x=self.x0, xi=self.xi0, t_timer=0.0, t_prep_timer=0.0)
-
-
-def _flow_state(
-    state: HybridState, dt: float, plant: PlantParams, x_sat: float | None
-) -> HybridState:
-    return HybridState(
-        x=flow.flow_x(state.x, dt, plant),
-        xi=flow.flow_xi(state.x, state.xi, dt, plant, x_sat),
-        t_timer=state.t_timer + dt,
-        t_prep_timer=state.t_prep_timer + dt,
-    )
-
 
 def simulate(scenario: Scenario) -> Trajectory:
-    """Run the scenario and record its trajectory.
+    """Run the scenario and record its trajectory as columns.
 
-    Jumps occur exactly at t = k*t_c; the jump count can therefore never
-    exceed floor(t/t_c) + 1, which rules out Zeno behaviour and is checked
-    as the simulation runs.
+    Each tick contributes samples_per_tick flow samples, the last of which is
+    the pre-jump state, and one post-jump sample.  Jumps occur exactly at
+    t = k*t_c, one per tick, so the jump count never exceeds floor(t/t_c) + 1
+    and Zeno behaviour is ruled out by construction.
     """
     plant, actuator, controller = scenario.plant, scenario.actuator, scenario.controller
     validate(plant, actuator, controller)
     t_c = actuator.t_c
     spt = scenario.samples_per_tick
     x_sat = scenario.x_sat
-
-    state = scenario.initial_state()
-    samples = [TrajectorySample(HybridTime(0.0, 0), state, False)]
+    flow_x, flow_xi = flow.flow_x, flow.flow_xi
     n_ticks = int(math.floor(scenario.t_end / t_c + _TICK_EPS))
-    j = 0
+    # flow time of each sample within a tick; the last is t_c*(spt/spt) == t_c
+    offsets = [t_c * (m / spt) for m in range(1, spt + 1)]
 
+    x, xi = scenario.x0, scenario.xi0
+    xs, xis, fire_ticks = [x], [xi], []
+    since_fire = 0  # whole ticks since the last pellet, or since t = 0
     for k in range(1, n_ticks + 1):
-        for m in range(1, spt + 1):
-            dt = t_c * (m / spt)
-            t = t_c * (k - 1 + m / spt)
-            samples.append(
-                TrajectorySample(HybridTime(t, j), _flow_state(state, dt, plant, x_sat), False)
-            )
-        boundary = samples[-1].state  # t_timer == t_c exactly: t_c*(spt/spt)
+        xs += [flow_x(x, dt, plant) for dt in offsets]
+        xis += [flow_xi(x, xi, dt, plant, x_sat) for dt in offsets]
+        since_fire += 1
+        boundary = HybridState(xs[-1], xis[-1], t_timer=t_c, t_prep_timer=since_fire * t_c)
         outcome = tick_jump(boundary, plant, controller, actuator)
-        j += 1
-        if j > k + 1:
-            raise RuntimeError("minimum dwell time violated: more jumps than ticks")
-        samples.append(TrajectorySample(HybridTime(t_c * k, j), outcome.state_after, outcome.fired))
-        state = outcome.state_after
+        x, xi = outcome.state_after.x, outcome.state_after.xi
+        xs.append(x)
+        xis.append(xi)
+        if outcome.fired:
+            fire_ticks.append(k)
+            since_fire = 0
 
+    # per tick: spt flow rows at j = k-1, then the post-jump row at j = k
+    ticks = np.arange(n_ticks)[:, None]
+    t_grid = np.hstack((t_c * (ticks + np.arange(1, spt + 1) / spt), t_c * (ticks + 1)))
+    j_grid = np.hstack((np.repeat(ticks, spt, axis=1), ticks + 1))
+
+    # a partial last interval: the flow samples that fit, then t_end itself
+    t_tail: list[float] = []
     remainder = scenario.t_end - t_c * n_ticks
     if remainder > _TICK_EPS * t_c:
-        m = 1
-        while t_c * (m / spt) < remainder - _TICK_EPS * t_c and m <= spt:
-            dt = t_c * (m / spt)
-            samples.append(
-                TrajectorySample(
-                    HybridTime(t_c * (n_ticks + m / spt), j),
-                    _flow_state(state, dt, plant, x_sat),
-                    False,
-                )
-            )
-            m += 1
-        samples.append(
-            TrajectorySample(
-                HybridTime(scenario.t_end, j), _flow_state(state, remainder, plant, x_sat), False
-            )
-        )
+        dts = [dt for dt in offsets if dt < remainder - _TICK_EPS * t_c] + [remainder]
+        xs += [flow_x(x, dt, plant) for dt in dts]
+        xis += [flow_xi(x, xi, dt, plant, x_sat) for dt in dts]
+        t_tail = [t_c * (n_ticks + m / spt) for m in range(1, len(dts))] + [scenario.t_end]
 
-    return Trajectory(tuple(samples), plant, controller, actuator)
+    fired = np.zeros(len(xs), dtype=bool)
+    fired[np.array(fire_ticks, dtype=np.int64) * (spt + 1)] = True
+    return Trajectory(
+        t=np.concatenate(([0.0], t_grid.ravel(), t_tail)),
+        j=np.concatenate(([0], j_grid.ravel(), [n_ticks] * len(t_tail))),
+        x=np.array(xs),
+        xi=np.array(xis),
+        fired=fired,
+        plant=plant, controller=controller, actuator=actuator,
+    )
 
 
 def steady_state_window(traj: Trajectory, fraction: float = 0.5) -> tuple[float, float]:

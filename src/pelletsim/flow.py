@@ -44,8 +44,10 @@ def flow_x(x0: float, dt: float, plant: PlantParams) -> float:
     """Error after flowing dt seconds from x0.  Total for dt >= 0, x0 <= r;
     the result never exceeds r and is nondecreasing in dt for x0 < r."""
     # x0 - (r - x0)*expm1(-dt/tau) is exact at dt=0 and keeps precision when
-    # x0 is close to r
-    return x0 - (plant.r - x0) * math.expm1(-dt / plant.tau)
+    # x0 is close to r; once expm1 rounds to -1 the sum can land an ulp
+    # above r, so cap it there
+    x = x0 - (plant.r - x0) * math.expm1(-dt / plant.tau)
+    return x if x <= plant.r else plant.r
 
 
 def zero_crossing_time(x0: float, plant: PlantParams) -> float | None:

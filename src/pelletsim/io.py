@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
+
+import numpy as np
 
 from . import bounds, verify
 from .core import (
@@ -170,38 +172,32 @@ def load_scenario(path: str | Path) -> Scenario:
     return parse_scenario(Path(path).read_text(encoding="utf-8"))
 
 
+_CSV_HEADER = "t,j,n_e,x,xi,T,T_p,fired\r\n"
+_CSV_ROW = "%.9e,%d,%.9e,%.9e,%.9e,%.9e,%.9e,%d\r\n"
+
+
 def write_trajectory_csv(traj: Trajectory, path: str | Path) -> None:
-    """Columns t,j,n_e,x,xi,T,T_p,fired; floats as %.9e, fired as 0/1."""
-    r = traj.plant.r
+    """Columns t,j,n_e,x,xi,T,T_p,fired; floats as %.9e, fired as 0/1, and
+    lines ended by \\r\\n, as csv.writer ends them."""
+    T, T_p = traj.timers()
+    columns = (traj.t, traj.j, traj.plant.r - traj.x, traj.x, traj.xi, T, T_p, traj.fired)
+    rows = zip(*(c.tolist() for c in columns))
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "j", "n_e", "x", "xi", "T", "T_p", "fired"])
-        for s in traj.samples:
-            st = s.state
-            writer.writerow(
-                [
-                    "%.9e" % s.time.t,
-                    s.time.j,
-                    "%.9e" % (r - st.x),
-                    "%.9e" % st.x,
-                    "%.9e" % st.xi,
-                    "%.9e" % st.t_timer,
-                    "%.9e" % st.t_prep_timer,
-                    1 if s.fired else 0,
-                ]
-            )
+        fh.write(_CSV_HEADER)
+        fh.write("".join([_CSV_ROW % row for row in rows]))
 
 
 # --- minimal SVG rendering -------------------------------------------------
 
-def _polyline(pts: list[tuple[float, float]], colour: str, dash: str = "") -> str:
-    coords = " ".join(f"{px:.2f},{py:.2f}" for px, py in pts)
+def _polyline(px: np.ndarray, py: np.ndarray, colour: str, dash: str = "") -> str:
+    coords = ("%.2f,%.2f " * len(px)) % tuple(np.column_stack((px, py)).ravel().tolist())
     dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
-    return f'<polyline fill="none" stroke="{colour}" stroke-width="1.2"{dash_attr} points="{coords}"/>'
+    return (f'<polyline fill="none" stroke="{colour}" stroke-width="1.2"{dash_attr} '
+            f'points="{coords[:-1]}"/>')
 
 
 class _Panel:
-    """Maps one (t, y) series onto a pixel rectangle."""
+    """Maps (t, y) columns onto a pixel rectangle."""
 
     def __init__(self, x0, y0, width, height, t_range, y_range):
         self.x0, self.y0, self.w, self.h = x0, y0, width, height
@@ -218,9 +214,6 @@ class _Panel:
     def py(self, y):
         return self.y0 + self.h - (y - self.y_min) / (self.y_max - self.y_min) * self.h
 
-    def map_series(self, ts, ys):
-        return [(self.px(t), self.py(y)) for t, y in zip(ts, ys)]
-
     def frame(self, label):
         return (
             f'<rect x="{self.x0}" y="{self.y0}" width="{self.w}" height="{self.h}" '
@@ -233,45 +226,42 @@ class _Panel:
 def render_svg(traj: Trajectory, cert: Certificate, path: str | Path) -> None:
     """Two stacked panels: error x and density n_e against time, with dashed
     certified bounds and pellet-fire markers.  Deliberately minimal."""
-    ts = [s.time.t for s in traj.samples]
-    xs = [s.state.x for s in traj.samples]
-    r = traj.plant.r
-    nes = [r - x for x in xs]
-    x0 = traj.samples[0].state.x
+    ts, xs = traj.t, traj.x
+    nes = traj.plant.r - xs
     t_range = (0.0, traj.t_end)
 
-    overlays_x: list[tuple[list[float], str]] = []
+    overlays_x: list[tuple[np.ndarray, str]] = []
     if cert.feasible and cert.bound_interval is not None:
+        lower, upper = cert.bound_interval
         if cert.bound_scope == "trajectory":
-            uppers = [bounds.envelope(t, x0, traj.plant)[1] for t in ts]
-            overlays_x.append((uppers, "#c0392b"))
-            overlays_x.append(([cert.bound_interval[0]] * len(ts), "#c0392b"))
+            upper = bounds.envelope(ts, float(xs[0]), traj.plant)[1]
+            colour = "#c0392b"
         else:
-            overlays_x.append(([cert.bound_interval[1]] * len(ts), "#8e44ad"))
-            overlays_x.append(([cert.bound_interval[0]] * len(ts), "#8e44ad"))
+            colour = "#8e44ad"
+        for series in (upper, lower):
+            overlays_x.append((np.broadcast_to(series, ts.shape), colour))
 
-    x_lo = min(xs + [v for series, _ in overlays_x for v in series])
-    x_hi = max(xs + [v for series, _ in overlays_x for v in series])
-    panel_x = _Panel(60, 20, 800, 250, t_range, (x_lo, x_hi))
-    panel_n = _Panel(60, 310, 800, 250, t_range, (min(nes), max(nes)))
+    x_all = np.concatenate([xs] + [series for series, _ in overlays_x])
+    panel_x = _Panel(60, 20, 800, 250, t_range, (float(x_all.min()), float(x_all.max())))
+    panel_n = _Panel(60, 310, 800, 250, t_range, (float(nes.min()), float(nes.max())))
 
+    px = panel_x.px(ts)
     parts = [
         '<svg xmlns="http://www.w3.org/2000/svg" width="900" height="600" '
         'viewBox="0 0 900 600">',
         '<rect width="900" height="600" fill="white"/>',
         panel_x.frame("density error x [particles/m^3] vs t [s]"),
         panel_n.frame("electron density n_e [particles/m^3] vs t [s]"),
-        _polyline(panel_x.map_series(ts, xs), "#1f77b4"),
-        _polyline(panel_n.map_series(ts, nes), "#2ca02c"),
+        _polyline(px, panel_x.py(xs), "#1f77b4"),
+        _polyline(panel_n.px(ts), panel_n.py(nes), "#2ca02c"),
     ]
     for series, colour in overlays_x:
-        parts.append(_polyline(panel_x.map_series(ts, series), colour, dash="6,4"))
-    for s in traj.fire_samples():
-        px = panel_x.px(s.time.t)
-        parts.append(
-            f'<line x1="{px:.2f}" y1="{panel_x.y0 + panel_x.h - 8}" '
-            f'x2="{px:.2f}" y2="{panel_x.y0 + panel_x.h}" stroke="#e67e22" stroke-width="1"/>'
-        )
+        parts.append(_polyline(px, panel_x.py(series), colour, dash="6,4"))
+    y1, y2 = panel_x.y0 + panel_x.h - 8, panel_x.y0 + panel_x.h
+    parts.extend(
+        f'<line x1="{p:.2f}" y1="{y1}" x2="{p:.2f}" y2="{y2}" stroke="#e67e22" stroke-width="1"/>'
+        for p in px[traj.fired].tolist()
+    )
     parts.append("</svg>")
     Path(path).write_text("\n".join(parts), encoding="utf-8")
 
@@ -323,17 +313,11 @@ _SWEEP_AXES = ("delta", "t_c", "r")
 
 def _with_axis_value(base: Scenario, axis: str, value: float) -> Scenario:
     if axis == "delta":
-        controller = ControllerSpec(base.controller.variant, value)
-        return Scenario(base.plant, base.actuator, controller, base.x0, base.t_end,
-                        base.xi0, base.samples_per_tick, base.seed_note)
+        return replace(base, controller=replace(base.controller, delta=value))
     if axis == "t_c":
-        actuator = ActuatorSpec(value, base.actuator.t_prep, base.actuator.mode)
-        return Scenario(base.plant, actuator, base.controller, base.x0, base.t_end,
-                        base.xi0, base.samples_per_tick, base.seed_note)
+        return replace(base, actuator=replace(base.actuator, t_c=value))
     if axis == "r":
-        plant = PlantParams(base.plant.tau, value, base.plant.alpha)
-        return Scenario(plant, base.actuator, base.controller, base.x0, base.t_end,
-                        base.xi0, base.samples_per_tick, base.seed_note)
+        return replace(base, plant=replace(base.plant, r=value))
     raise ValueError(f"axis must be one of {_SWEEP_AXES}, got {axis!r}")
 
 

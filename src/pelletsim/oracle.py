@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 
 from .controllers import tick_jump
-from .core import HybridState, HybridTime, PlantParams, Trajectory, TrajectorySample
+from .core import HybridState, PlantParams, Trajectory
 from .engine import Scenario
 
 MIN_SUBSTEPS = 100
@@ -80,37 +80,34 @@ def simulate_numeric(scenario: Scenario, step: float) -> Trajectory:
     n_sub = _substeps_per_tick(t_c, step)
     x_sat = scenario.x_sat
 
-    state = scenario.initial_state()
-    samples = [TrajectorySample(HybridTime(0.0, 0), state, False)]
+    x, xi = scenario.x0, scenario.xi0
+    ts, js, xs, xis, fired = [0.0], [0], [x], [xi], [False]
     n_ticks = int(math.floor(scenario.t_end / t_c + 1e-9))
-    j = 0
+    since_fire = 0  # whole ticks since the last pellet, or since t = 0
 
     for k in range(1, n_ticks + 1):
-        x, xi = integrate_flow_rk4(state.x, state.xi, t_c, plant, x_sat, n_sub)
-        boundary = HybridState(
-            x=x, xi=max(0.0, xi), t_timer=t_c, t_prep_timer=state.t_prep_timer + t_c
-        )
-        samples.append(TrajectorySample(HybridTime(t_c * k, j), boundary, False))
+        x, xi = integrate_flow_rk4(x, xi, t_c, plant, x_sat, n_sub)
+        xi = max(0.0, xi)
+        since_fire += 1
+        boundary = HybridState(x, xi, t_timer=t_c, t_prep_timer=since_fire * t_c)
         outcome = tick_jump(boundary, plant, controller, actuator)
-        j += 1
-        samples.append(TrajectorySample(HybridTime(t_c * k, j), outcome.state_after, outcome.fired))
-        state = outcome.state_after
+        ts += [t_c * k, t_c * k]
+        js += [k - 1, k]
+        xs += [x, outcome.state_after.x]
+        xis += [xi, outcome.state_after.xi]
+        fired += [False, outcome.fired]
+        x, xi = outcome.state_after.x, outcome.state_after.xi
+        if outcome.fired:
+            since_fire = 0
 
     remainder = scenario.t_end - t_c * n_ticks
     if remainder > 1e-9 * t_c:
         n_tail = max(1, round(n_sub * remainder / t_c))
-        x, xi = integrate_flow_rk4(state.x, state.xi, remainder, plant, x_sat, n_tail)
-        samples.append(
-            TrajectorySample(
-                HybridTime(scenario.t_end, j),
-                HybridState(
-                    x=x,
-                    xi=max(0.0, xi),
-                    t_timer=remainder,
-                    t_prep_timer=state.t_prep_timer + remainder,
-                ),
-                False,
-            )
-        )
+        x, xi = integrate_flow_rk4(x, xi, remainder, plant, x_sat, n_tail)
+        ts.append(scenario.t_end)
+        js.append(n_ticks)
+        xs.append(x)
+        xis.append(max(0.0, xi))
+        fired.append(False)
 
-    return Trajectory(tuple(samples), plant, controller, actuator)
+    return Trajectory(ts, js, xs, xis, fired, plant, controller, actuator)

@@ -40,6 +40,11 @@ class CheckWitness:
         }
 
 
+def _first(bad: np.ndarray) -> int | None:
+    """Index of the first True entry, None when there is none."""
+    return int(np.argmax(bad)) if bad.any() else None
+
+
 def check_envelope(traj: Trajectory, cert: Certificate) -> tuple[bool | None, CheckWitness | None]:
     """Every sample inside the certified bounds (lower exclusive, upper
     inclusive, relative slack 1e-9).  Not applicable without a feasible
@@ -47,48 +52,45 @@ def check_envelope(traj: Trajectory, cert: Certificate) -> tuple[bool | None, Ch
     window instead of the whole trajectory."""
     if not cert.feasible or cert.bound_interval is None:
         return None, None
-    plant = traj.plant
-    eps = _REL_SLACK * plant.r
+    t, x = traj.t, traj.x
+    eps = _REL_SLACK * traj.plant.r
     if cert.bound_scope == "steady_state":
         lower, upper = cert.bound_interval
         t_start, _ = steady_state_window(traj)
-        for s in traj.samples:
-            if s.time.t < t_start:
-                continue
-            if not (lower - eps < s.state.x <= upper + eps):
-                return False, CheckWitness(
-                    s.time.t, s.time.j, s.state.x, lower, upper, "steady-state bound"
-                )
+        outside = (t >= t_start) & ~((lower - eps < x) & (x <= upper + eps))
+        note = "steady-state bound"
+    else:
+        lower, upper = bounds.envelope(t, float(x[0]), traj.plant)
+        outside = ~((lower - eps < x) & (x <= upper + eps))
+        note = "envelope"
+    i = _first(outside)
+    if i is None:
         return True, None
-    x0 = traj.samples[0].state.x
-    for s in traj.samples:
-        lower, upper = bounds.envelope(s.time.t, x0, plant)
-        if not (lower - eps < s.state.x <= upper + eps):
-            return False, CheckWitness(s.time.t, s.time.j, s.state.x, lower, upper, "envelope")
-    return True, None
+    lower_i, upper_i = (float(np.broadcast_to(b, t.shape)[i]) for b in (lower, upper))
+    return False, CheckWitness(float(t[i]), int(traj.j[i]), float(x[i]), lower_i, upper_i, note)
 
 
 def check_zeno(traj: Trajectory) -> tuple[bool, CheckWitness | None]:
     """Jump counts never exceed floor(t/t_c) + 1 (minimum dwell one tick)."""
-    t_c = traj.actuator.t_c
-    for s in traj.samples:
-        limit = int(np.floor(s.time.t / t_c + 1e-9)) + 1
-        if s.time.j > limit:
-            return False, CheckWitness(s.time.t, s.time.j, float(s.time.j), None, float(limit))
-    return True, None
+    limit = np.floor(traj.t / traj.actuator.t_c + 1e-9).astype(np.int64) + 1
+    i = _first(traj.j > limit)
+    if i is None:
+        return True, None
+    j = int(traj.j[i])
+    return False, CheckWitness(float(traj.t[i]), j, float(j), None, float(limit[i]))
 
 
-def _cycle_starts(traj: Trajectory) -> list[tuple[float, float]]:
-    """(t, x) pairs that open a pellet cycle with positive error: the initial
-    state and every post-fire state with x > 0."""
-    starts = []
-    first = traj.samples[0]
-    if first.state.x > 0.0:
-        starts.append((first.time.t, first.state.x))
-    for s in traj.fire_samples():
-        if s.state.x > 0.0:
-            starts.append((s.time.t, s.state.x))
-    return starts
+def _cycles(traj: Trajectory) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows that open a pellet cycle with positive error (the initial row and
+    every post-fire row with x > 0), each with the row of the next fire
+    strictly later in time, or -1 when there is none."""
+    fire_rows = np.flatnonzero(traj.fired)
+    starts = np.flatnonzero(traj.fired & (traj.x > 0.0))
+    if len(traj) and traj.x[0] > 0.0:
+        starts = np.concatenate(([0], starts))
+    nxt = np.searchsorted(traj.t[fire_rows], traj.t[starts], side="right")
+    next_fire = np.append(fire_rows, -1)[nxt]
+    return starts, next_fire, next_fire >= 0
 
 
 def check_dwell(traj: Trajectory, cert: Certificate) -> tuple[bool | None, CheckWitness | None]:
@@ -103,20 +105,14 @@ def check_dwell(traj: Trajectory, cert: Certificate) -> tuple[bool | None, Check
     if not applicable:
         return None, None
     limit = cert.tau_d + 1e-9 * traj.actuator.t_c
-    fire_times = [s.time.t for s in traj.fire_samples()]
-    for t_start, x_start in _cycle_starts(traj):
-        nxt = next((tf for tf in fire_times if tf > t_start), None)
-        if nxt is not None:
-            if nxt - t_start > limit:
-                return False, CheckWitness(
-                    t_start, 0, nxt - t_start, None, cert.tau_d, "inter-pellet gap"
-                )
-        elif traj.t_end - t_start > limit:
-            return False, CheckWitness(
-                t_start, 0, traj.t_end - t_start, None, cert.tau_d,
-                "no fire within the certified dwell bound",
-            )
-    return True, None
+    starts, next_fire, has_next = _cycles(traj)
+    t_start = traj.t[starts]
+    gaps = np.where(has_next, traj.t[next_fire], traj.t_end) - t_start
+    i = _first(gaps > limit)
+    if i is None:
+        return True, None
+    note = "inter-pellet gap" if has_next[i] else "no fire within the certified dwell bound"
+    return False, CheckWitness(float(t_start[i]), 0, float(gaps[i]), None, cert.tau_d, note)
 
 
 def check_contraction(traj: Trajectory, cert: Certificate) -> tuple[bool | None, CheckWitness | None]:
@@ -130,28 +126,25 @@ def check_contraction(traj: Trajectory, cert: Certificate) -> tuple[bool | None,
     if not applicable:
         return None, None
     slack = _REL_SLACK * traj.plant.r
-    fires = [(s.time.t, s.state.x) for s in traj.fire_samples()]
-    for t_start, x_start in _cycle_starts(traj):
-        nxt = next(((tf, xf) for tf, xf in fires if tf > t_start), None)
-        if nxt is None:
-            continue
-        tf, x_after = nxt
-        if x_after > cert.gamma * x_start + slack:
-            return False, CheckWitness(
-                tf, 0, x_after, None, cert.gamma * x_start, "cycle did not contract"
-            )
-    return True, None
+    starts, next_fire, has_next = _cycles(traj)
+    ends = next_fire[has_next]
+    target = cert.gamma * traj.x[starts[has_next]]
+    i = _first(traj.x[ends] > target + slack)
+    if i is None:
+        return True, None
+    end = ends[i]
+    return False, CheckWitness(float(traj.t[end]), 0, float(traj.x[end]), None, float(target[i]),
+                               "cycle did not contract")
 
 
 def detect_windup(traj: Trajectory, delta: float) -> bool:
     """Wind-up signature: two consecutive fires that both leave a residue at
     or above the threshold, or any sample undershooting -alpha."""
-    post_xi = [s.state.xi for s in traj.fire_samples()]
-    for a, b in zip(post_xi, post_xi[1:]):
-        if a >= delta and b >= delta:
-            return True
+    high = traj.xi[traj.fired] >= delta
+    if np.any(high[:-1] & high[1:]):
+        return True
     floor = -traj.plant.alpha - 1e-12 * traj.plant.r
-    return any(s.state.x < floor for s in traj.samples)
+    return bool(np.any(traj.x < floor))
 
 
 @dataclass(frozen=True)
@@ -185,21 +178,27 @@ def compare(traj_a: Trajectory, traj_b: Trajectory, rtol: float = 1e-6) -> Compa
     t_c = traj_a.actuator.t_c
     if abs(t_c - traj_b.actuator.t_c) > 1e-12 * t_c:
         raise GridMismatch("tick periods differ")
-    events_a, events_b = traj_a.tick_events(), traj_b.tick_events()
-    if len(events_a) != len(events_b):
-        raise GridMismatch(f"tick counts differ: {len(events_a)} vs {len(events_b)}")
+    after_a, after_b = traj_a.jump_rows(), traj_b.jump_rows()
+    if len(after_a) != len(after_b):
+        raise GridMismatch(f"tick counts differ: {len(after_a)} vs {len(after_b)}")
+    t_a = traj_a.t[after_a - 1]
+    i = _first(np.abs(t_a - traj_b.t[after_b - 1]) > 1e-9 * t_c)
+    if i is not None:
+        raise GridMismatch(f"tick {i} occurs at different times")
     alpha = traj_a.plant.alpha
-    max_x = max_xi = 0.0
+
+    def max_rel(a: np.ndarray, b: np.ndarray) -> float:
+        return float(np.max(np.abs(a - b) / np.maximum(np.abs(a), alpha), initial=0.0))
+
+    max_x = max_rel(traj_a.x[after_a - 1], traj_b.x[after_b - 1])
+    max_xi = max_rel(traj_a.xi[after_a - 1], traj_b.xi[after_b - 1])
+    fired_a, fired_b = traj_a.fired[after_a], traj_b.fired[after_b]
+    i = _first(fired_a != fired_b)
     mismatch = None
-    for i, (ea, eb) in enumerate(zip(events_a, events_b)):
-        if abs(ea.t - eb.t) > 1e-9 * t_c:
-            raise GridMismatch(f"tick {i} occurs at different times")
-        max_x = max(max_x, abs(ea.before.x - eb.before.x) / max(abs(ea.before.x), alpha))
-        max_xi = max(max_xi, abs(ea.before.xi - eb.before.xi) / max(abs(ea.before.xi), alpha))
-        if mismatch is None and ea.fired != eb.fired:
-            mismatch = FireMismatch(i, ea.t, ea.fired, eb.fired)
+    if i is not None:
+        mismatch = FireMismatch(i, float(t_a[i]), bool(fired_a[i]), bool(fired_b[i]))
     passed = mismatch is None and max_x <= rtol and max_xi <= rtol
-    return ComparisonResult(max_x, max_xi, mismatch, len(events_a), rtol, passed)
+    return ComparisonResult(max_x, max_xi, mismatch, len(after_a), rtol, passed)
 
 
 @dataclass(frozen=True)
@@ -222,8 +221,7 @@ class Metrics:
 
 def compute_metrics(traj: Trajectory, fraction: float = 0.5) -> Metrics:
     t_start, _ = steady_state_window(traj, fraction)
-    t = traj.times()
-    x = traj.x_values()
+    t, x = traj.t, traj.x
     window = x[t >= t_start - 1e-9 * traj.t_end]
     alpha, r = traj.plant.alpha, traj.plant.r
     inside = (x > -alpha) & (x <= alpha + _REL_SLACK * r)
@@ -234,7 +232,7 @@ def compute_metrics(traj: Trajectory, fraction: float = 0.5) -> Metrics:
         last_out = int(np.max(np.nonzero(~inside)[0]))
         settling = float(t[last_out + 1]) if last_out + 1 < len(t) else None
     return Metrics(
-        pellet_count=len(traj.fire_samples()),
+        pellet_count=int(np.count_nonzero(traj.fired)),
         min_x_steady=float(window.min()),
         max_x_steady=float(window.max()),
         mean_x_steady=float(window.mean()),

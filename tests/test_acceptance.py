@@ -78,7 +78,7 @@ def test_criterion_2_reset_controller_threshold_placement(nm_tracking, nm_small_
 def test_criterion_3_windup_undershoot(sdm_windup):
     traj = simulate(sdm_windup)
     r = traj.plant.r
-    assert float(traj.x_values().min()) < -ALPHA
+    assert float(traj.x.min()) < -ALPHA
     steady_x = [s.state.x for s in steady_samples(traj)]
     assert min(steady_x) < -ALPHA
     assert max(steady_x) <= ALPHA + 1e-9 * r

@@ -99,3 +99,22 @@ def test_pure_function(plant):
     a = jump(before, Variant.SDM_JM, plant=plant)
     b = jump(before, Variant.SDM_JM, plant=plant)
     assert a == b
+
+
+def test_prep_gate_counts_whole_ticks(plant):
+    # seven ticks of 3 ms sum to 0.020999999999999998 < 0.021 in floating
+    # point; the gate counts ticks, so it opens after exactly l = 7 of them
+    summed = 0.0
+    for _ in range(7):
+        summed += 0.003
+    assert summed < 0.021
+    actuator = ActuatorSpec(t_c=0.003, t_prep=0.021)
+    controller = ControllerSpec(Variant.NM, DELTA)
+    assert actuator.prep_ticks() == 7
+
+    def fires(t_prep_timer):
+        state = HybridState(x=2e19, xi=2 * DELTA, t_timer=0.003, t_prep_timer=t_prep_timer)
+        return tick_jump(state, plant, controller, actuator).fired
+
+    assert fires(summed)
+    assert not fires(6 * 0.003)

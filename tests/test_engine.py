@@ -5,6 +5,8 @@ import pytest
 
 from pelletsim import (
     EmptyTrajectory,
+    certify,
+    report,
     Scenario,
     Trajectory,
     ValidationError,
@@ -35,7 +37,7 @@ def test_unreachable_threshold_gives_open_loop(plant):
 
 def test_windup_variant_undershoots(sdm_windup):
     traj = simulate(sdm_windup)
-    assert float(traj.x_values().min()) < -traj.plant.alpha
+    assert float(traj.x.min()) < -traj.plant.alpha
 
 
 def test_jumps_only_at_tick_multiples(nm_tracking):
@@ -159,7 +161,8 @@ def test_steady_state_window_arithmetic(nm_tracking):
 
 
 def test_steady_state_window_rejects_empty(nm_tracking):
-    empty = Trajectory((), nm_tracking.plant, nm_tracking.controller, nm_tracking.actuator)
+    empty = Trajectory((), (), (), (), (), nm_tracking.plant, nm_tracking.controller,
+                       nm_tracking.actuator)
     with pytest.raises(EmptyTrajectory):
         steady_state_window(empty)
 
@@ -181,3 +184,32 @@ def test_long_horizon_has_no_tick_drift(plant):
         assert event.t == (i + 1) * t_c
     for s in traj.samples:
         assert -plant.alpha < s.state.x <= plant.r
+
+
+def test_exact_multiple_prep_time_agrees_with_certificate(plant):
+    # t_prep = 7 * t_c exactly as written: the certificate counts l = 7, and
+    # the run must fire no less often than that, or it leaves the envelope
+    sc = make_scenario(plant, Variant.NM, 1.0, 0.003, 5e19, t_prep=0.021)
+    cert = certify(sc.plant, sc.actuator, sc.controller)
+    assert cert.feasible and cert.l == 7
+    traj = simulate(sc)
+    fire_ticks = np.rint(traj.t[traj.fired] / 0.003).astype(int)
+    assert np.diff(fire_ticks).min() == 7
+    assert report(traj, cert).all_applicable_pass()
+
+
+def test_columns_are_read_only(nm_tracking):
+    traj = simulate(nm_tracking)
+    for column in (traj.t, traj.j, traj.x, traj.xi, traj.fired):
+        with pytest.raises(ValueError):
+            column[0] = column[1]
+
+
+def test_samples_mirror_the_columns(nm_prep_gate):
+    traj = simulate(nm_prep_gate)
+    T, T_p = traj.timers()
+    for i, s in enumerate(traj.samples):
+        assert (s.time.t, s.time.j, s.state.x, s.state.xi, s.fired) == (
+            traj.t[i], traj.j[i], traj.x[i], traj.xi[i], traj.fired[i])
+        assert (s.state.t_timer, s.state.t_prep_timer) == (T[i], T_p[i])
+    assert np.all(T[traj.fired] == 0.0) and np.all(T_p[traj.fired] == 0.0)

@@ -10,6 +10,7 @@ import pytest
 from scipy.optimize import brentq
 
 from pelletsim import (
+    PlantParams,
     flow_segment,
     flow_x,
     flow_xi,
@@ -42,6 +43,12 @@ class TestFlowX:
             x0 = plant.r - rng.uniform(0.0, 2.0) * plant.r
             dt = rng.uniform(0.0, 10.0) * plant.tau
             assert flow_x(x0, dt, plant) <= plant.r
+
+    def test_capped_at_reference_once_expm1_rounds_to_minus_one(self):
+        # dt = 42.7 tau: expm1 rounds to -1, and x0 + (r - x0) lands one ulp
+        # above r unless the result is capped
+        plant = PlantParams(tau=0.01171875, r=1.1000000000000001e18, alpha=1e18)
+        assert flow_x(4.447382346072437e17, 0.5, plant) == plant.r
 
     def test_semigroup_property(self, plant):
         rng = np.random.default_rng(11)

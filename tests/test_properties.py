@@ -1,7 +1,9 @@
 """Property-based tests over randomized plants, tunings, and initial states."""
 
 import math
+from decimal import Decimal
 
+import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -19,6 +21,7 @@ from pelletsim import (
     delta_max,
     flow_x,
     flow_xi,
+    report,
     simulate,
     tick_jump,
 )
@@ -48,6 +51,23 @@ def certified_setups(draw, variant=Variant.NM):
     assume(delta > 0.0)
     x0 = draw(fractions) * plant.r
     return plant, ActuatorSpec(t_c=t_c), ControllerSpec(variant, delta), x0
+
+
+@st.composite
+def gated_setups(draw, variant=Variant.NM):
+    """Certified setups whose preparation time is a whole number l of ticks
+    as a user writes it: t_c with three significant digits, t_prep the
+    decimal product l*t_c rounded once to a double, so it can land on either
+    side of l*t_c summed or multiplied in floating point."""
+    plant = draw(plants())
+    l = draw(st.integers(1, 8))
+    t_c = float(f"{draw(st.floats(0.05, 0.95, **finite)) * plant.tau_d / l:.3g}")
+    actuator = ActuatorSpec(t_c=t_c, t_prep=float(Decimal(repr(t_c)) * l))
+    dm = delta_max(plant, t_c, variant, l)
+    assume(dm > 0.0)
+    delta = draw(fractions) * dm
+    assume(delta > 0.0)
+    return plant, actuator, ControllerSpec(variant, delta), l
 
 
 def short_scenario(plant, actuator, controller, x0, cycles=4.0):
@@ -154,3 +174,28 @@ class TestTrajectoryProperties:
         assert check_envelope(traj, cert)[0] is True
         for s in traj.fire_samples():
             assert 0.0 <= s.state.xi < controller.delta
+
+    @given(gated_setups(), st.sampled_from([Variant.NM, Variant.SDM_JM]))
+    @settings(max_examples=200, deadline=None)
+    def test_certified_gate_fires_exactly_l_ticks_apart(self, setup, variant):
+        # from an empty plasma with a small threshold the controller fires
+        # whenever the gate lets it, so the closest fires are exactly l apart
+        plant, actuator, controller, l = setup
+        controller = ControllerSpec(variant, 1e-6 * controller.delta)
+        cert = certify(plant, actuator, controller)
+        assert cert.feasible and cert.l == l
+        traj = simulate(short_scenario(plant, actuator, controller, plant.r))
+        fire_ticks = np.rint(traj.t[traj.fired] / actuator.t_c).astype(int)
+        assert len(fire_ticks) >= 2
+        assert np.diff(fire_ticks).min() == l
+
+    @given(gated_setups(), st.sampled_from([Variant.NM, Variant.SDM_JM]), fractions)
+    @settings(max_examples=200, deadline=None)
+    def test_feasible_certificate_implies_every_check_passes(self, setup, variant, frac):
+        plant, actuator, controller, _ = setup
+        controller = ControllerSpec(variant, controller.delta)
+        cert = certify(plant, actuator, controller)
+        assert cert.feasible
+        traj = simulate(short_scenario(plant, actuator, controller, frac * plant.r))
+        rep = report(traj, cert)
+        assert rep.all_applicable_pass(), rep.failures()

@@ -51,7 +51,8 @@ class TestEnvelope:
     def test_prefixes_of_passing_run_pass(self, nm_tracking):
         traj, cert = run(nm_tracking)
         for cut in (3, len(traj.samples) // 2, len(traj.samples)):
-            prefix = Trajectory(traj.samples[:cut], traj.plant, traj.controller, traj.actuator)
+            prefix = Trajectory(traj.t[:cut], traj.j[:cut], traj.x[:cut], traj.xi[:cut],
+                                traj.fired[:cut], traj.plant, traj.controller, traj.actuator)
             ok, _ = check_envelope(prefix, cert)
             assert ok is True
 
