@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 
@@ -80,6 +81,20 @@ def _cmd_compare_oracle(args) -> int:
     return 0 if result.passed else 1
 
 
+def _at_least_one(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and non-negative, got {text}")
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="pelletsim",
@@ -104,8 +119,8 @@ def main(argv=None) -> int:
     p_sweep.add_argument("--values", required=True, help="comma-separated numbers")
     p_cmp = sub.add_parser("compare-oracle", help="cross-check against RK4 integration")
     add_common(p_cmp, outdir=False)
-    p_cmp.add_argument("--oracle-steps", type=int, default=1000, metavar="N")
-    p_cmp.add_argument("--rtol", type=float, default=1e-6)
+    p_cmp.add_argument("--oracle-steps", type=_at_least_one, default=1000, metavar="N")
+    p_cmp.add_argument("--rtol", type=_tolerance, default=1e-6)
 
     args = parser.parse_args(argv)
     handlers = {
@@ -118,7 +133,7 @@ def main(argv=None) -> int:
     try:
         return handlers[args.command](args)
     except (io.ParseError, io.SchemaError, io.EmptyAxis, ValidationError,
-            oracle.StepTooCoarse, FileNotFoundError) as exc:
+            oracle.StepTooCoarse, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

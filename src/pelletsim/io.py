@@ -172,25 +172,28 @@ def load_scenario(path: str | Path) -> Scenario:
     return parse_scenario(Path(path).read_text(encoding="utf-8"))
 
 
-_CSV_HEADER = "t,j,n_e,x,xi,T,T_p,fired\r\n"
-_CSV_ROW = "%.9e,%d,%.9e,%.9e,%.9e,%.9e,%.9e,%d\r\n"
+_CSV_HEADER = b"t,j,n_e,x,xi,T,T_p,fired\r\n"
 
 
 def write_trajectory_csv(traj: Trajectory, path: str | Path) -> None:
     """Columns t,j,n_e,x,xi,T,T_p,fired; floats as %.9e, fired as 0/1, and
-    lines ended by \\r\\n, as csv.writer ends them."""
+    lines ended by \\r\\n, as csv.writer ends them.  Each field is byte-equal
+    to Python's `%` formatting of its value."""
+    from . import numfmt  # on first use: runs that write no artifacts never load it
+
     T, T_p = traj.timers()
     columns = (traj.t, traj.j, traj.plant.r - traj.x, traj.x, traj.xi, T, T_p, traj.fired)
-    rows = zip(*(c.tolist() for c in columns))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with open(path, "wb") as fh:
         fh.write(_CSV_HEADER)
-        fh.write("".join([_CSV_ROW % row for row in rows]))
+        fh.writelines(numfmt.rows("%.9e,%d,%.9e,%.9e,%.9e,%.9e,%.9e,%d\r\n", columns))
 
 
 # --- minimal SVG rendering -------------------------------------------------
 
 def _polyline(px: np.ndarray, py: np.ndarray, colour: str, dash: str = "") -> str:
-    coords = ("%.2f,%.2f " * len(px)) % tuple(np.column_stack((px, py)).ravel().tolist())
+    from . import numfmt
+
+    coords = b"".join(numfmt.rows("%.2f,%.2f ", (px, py))).decode("ascii")
     dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
     return (f'<polyline fill="none" stroke="{colour}" stroke-width="1.2"{dash_attr} '
             f'points="{coords[:-1]}"/>')
@@ -226,6 +229,7 @@ class _Panel:
 def render_svg(traj: Trajectory, cert: Certificate, path: str | Path) -> None:
     """Two stacked panels: error x and density n_e against time, with dashed
     certified bounds and pellet-fire markers.  Deliberately minimal."""
+    from . import numfmt
     ts, xs = traj.t, traj.x
     nes = traj.plant.r - xs
     t_range = (0.0, traj.t_end)
@@ -258,11 +262,9 @@ def render_svg(traj: Trajectory, cert: Certificate, path: str | Path) -> None:
     for series, colour in overlays_x:
         parts.append(_polyline(px, panel_x.py(series), colour, dash="6,4"))
     y1, y2 = panel_x.y0 + panel_x.h - 8, panel_x.y0 + panel_x.h
-    parts.extend(
-        f'<line x1="{p:.2f}" y1="{y1}" x2="{p:.2f}" y2="{y2}" stroke="#e67e22" stroke-width="1"/>'
-        for p in px[traj.fired].tolist()
-    )
-    parts.append("</svg>")
+    marker = f'<line x1="%.2f" y1="{y1}" x2="%.2f" y2="{y2}" stroke="#e67e22" stroke-width="1"/>\n'
+    fires = px[traj.fired]
+    parts.append(b"".join(numfmt.rows(marker, (fires, fires))).decode("ascii") + "</svg>")
     Path(path).write_text("\n".join(parts), encoding="utf-8")
 
 

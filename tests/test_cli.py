@@ -70,3 +70,29 @@ def test_invalid_scenario_is_usage_error(tmp_path, capsys):
         "sim": {"t_end": 0.1},
     }))
     assert main(["certify", str(bad)]) == 2
+
+
+def test_directory_as_scenario_is_usage_error(tmp_path, capsys):
+    assert main(["verify", str(tmp_path), "-o", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--oracle-steps", "0"],
+    ["--oracle-steps", "-3"],
+    ["--rtol", "-1"],
+    ["--rtol", "nan"],
+    ["--rtol", "inf"],
+])
+def test_bad_compare_oracle_option_is_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["compare-oracle", NM, *argv])
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_zero_rtol_is_accepted(capsys):
+    # a zero tolerance is a legal (if strict) request, not a usage error
+    code = main(["compare-oracle", NM, "--oracle-steps", "200", "--samples-per-tick", "1",
+                 "--rtol", "0"])
+    assert code in (0, 1)

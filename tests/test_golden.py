@@ -1,11 +1,14 @@
-"""Golden artifacts: every shipped scenario reproduces its trajectory.csv and
-summary.json byte for byte.
+"""Golden artifacts: every shipped scenario reproduces its trajectory.csv,
+summary.json and plot.svg byte for byte.
 
-The digests pin the artifacts as written before the trajectory became
-columnar and the preparation gate began counting whole ticks; a change
-that moves any digit of either file fails here.
+The CSV and summary digests pin the artifacts as written before the
+trajectory became columnar and the preparation gate began counting whole
+ticks; the plot and stretched-run digests pin them as written by Python's
+own `%` formatting, before number formatting was vectorized.  A change
+that moves any digit of any file fails here.
 """
 
+import dataclasses
 import hashlib
 from pathlib import Path
 
@@ -51,12 +54,48 @@ GOLDEN = {
 }
 
 
+GOLDEN_SVG = {
+    "nm_gas_gun": "78891c634d02fa06ec9c87dae02c9d73d47019262469dd8d8ce68eb10918193b",
+    "nm_prep_gate": "8348d532ba9f1364cc9fb026b297f6546b44010ff754524b803897a6b7c63285",
+    "nm_small_threshold": "d39940576f96bf5cf99f1b919dfa77d23325f916c2a81873a302b1fcb4427161",
+    "nm_tracking": "8184886f621159ed8128f2794fd997cca2ed6f6be75c5b999e11ee18e156d6ec",
+    "sdm_ic_fast": "9ec13781b4b0655c4d6b1ffe08e70ed23545e0469c1234f75b6c2f95bd7a3d29",
+    "sdm_ic_slow": "73d9259f4094564f5bfaaabf4463de6149989deae5840e0e70163acd421e7f0f",
+    "sdm_jm": "e200b013412839f36fc87dfb40f3f7eaa0e4823b0ae1a2f008a37945ae39d1bd",
+    "sdm_windup": "e7f7e037c90ee33ee90dcb2bc7785e8b422eb96298b61834126228b8a14deb86",
+}
+
+# Shipped scenarios stretched to about 20,000 samples with x0 = 0.6 r: each
+# file spans several formatting blocks, and sdm_ic_fast (plot) and nm_gas_gun
+# (both files) hold values whose digits come from the exact fallback.
+# (trajectory.csv, summary.json, plot.svg)
+GOLDEN_STRETCHED = {
+    "nm_gas_gun": (
+        "7e27efa987ac55ddda9d93e9e3c2e5876a31ce95a646022d6bf75cfb4f341af5",
+        "7fd31733f7531f1eb10f22083f3595bf76b5c51066bb07a7b05768c684bae23d",
+        "57f6a994a8ff56d0a5983627cec425745873b5f3786e61e997c06ca9ed4aaa91",
+    ),
+    "nm_tracking": (
+        "bddf7275b8b06cd8a52aca92b3743e9d55914e49bff0481ab58acc212ca67f6f",
+        "ef74b82ab6ac249fbb53fc59c8f59612ee561b89a7de87ea3414779935a5fa23",
+        "f4b4b7ba7f2f876799396a62312ec0f6a4a8c5979248883fff8db1ecbe51d021",
+    ),
+    "sdm_ic_fast": (
+        "ee1e670d56a902c7f1ab26875d0b081a2feec1fc41b5c2a41acfa8b7b1887cc2",
+        "52628e41b9f7b9e5ab5b7d490c2afc249df051e5871d8aaecbd9e2a93a449ec9",
+        "70efff9239f7b03e7399104890e37acf3ccf367e494eef50219c96456c4c5680",
+    ),
+}
+STRETCHED_SAMPLES = 20_000
+
+
 def sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def test_every_shipped_scenario_has_a_golden_digest():
     assert sorted(p.stem for p in SCENARIOS.glob("*.json")) == sorted(GOLDEN)
+    assert sorted(GOLDEN_SVG) == sorted(GOLDEN)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -65,3 +104,25 @@ def test_artifacts_match_golden_digests(tmp_path, name):
     csv_digest, summary_digest = GOLDEN[name]
     assert sha256(tmp_path / "trajectory.csv") == csv_digest
     assert sha256(tmp_path / "summary.json") == summary_digest
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SVG))
+def test_plot_matches_golden_digest(tmp_path, name):
+    run_scenario(load_scenario(SCENARIOS / f"{name}.json"), outdir=tmp_path, svg=True)
+    assert sha256(tmp_path / "plot.svg") == GOLDEN_SVG[name]
+
+
+def stretched(name: str):
+    scenario = load_scenario(SCENARIOS / f"{name}.json")
+    ticks = STRETCHED_SAMPLES / (scenario.samples_per_tick + 1)
+    return dataclasses.replace(
+        scenario, x0=0.6 * scenario.plant.r, t_end=round(ticks * scenario.actuator.t_c, 1)
+    )
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_STRETCHED))
+def test_stretched_run_matches_golden_digests(tmp_path, name):
+    result = run_scenario(stretched(name), outdir=tmp_path, svg=True)
+    assert len(result.trajectory.t) > STRETCHED_SAMPLES
+    digests = [sha256(tmp_path / f) for f in ("trajectory.csv", "summary.json", "plot.svg")]
+    assert digests == list(GOLDEN_STRETCHED[name])
