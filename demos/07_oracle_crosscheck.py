@@ -45,6 +45,11 @@ prev = None
 for n in (100, 200, 400, 800):
     x_n, _ = integrate_flow_rk4(1e19, 0.0, 1 / 70, plant, None, n)
     err = abs(x_n - x_exact)
-    ratio = "" if prev is None else f"  ({prev / err:4.1f}x smaller)"
+    if prev is None:
+        ratio = ""
+    elif err == 0.0:
+        ratio = "  (equal to the closed form)"
+    else:
+        ratio = f"  ({prev / err:4.1f}x smaller)"
     print(f"  {n:4d} substeps: |dx| = {err:.3e}{ratio}")
     prev = err

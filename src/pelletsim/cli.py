@@ -2,7 +2,8 @@
 
 Verbs: certify, simulate, verify, sweep, compare-oracle.  Exit code 0 iff
 every applicable check passed; 1 when a check failed (the machine-readable
-reason lands in summary.json); 2 for unusable input.
+reason lands in summary.json); 2 for unusable input; 141 when the reader
+of stdout closed it early.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import replace
 
@@ -131,7 +133,16 @@ def main(argv=None) -> int:
         "compare-oracle": _cmd_compare_oracle,
     }
     try:
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        sys.stdout.flush()  # so that a closed pipe surfaces here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader left early (`| head`): stop quietly, with the status a
+        # shell reports for a process ended by SIGPIPE
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 128 + 13
     except (io.ParseError, io.SchemaError, io.EmptyAxis, ValidationError,
             oracle.StepTooCoarse, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

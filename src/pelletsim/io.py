@@ -249,7 +249,7 @@ def render_svg(traj: Trajectory, cert: Certificate, path: str | Path) -> None:
     panel_x = _Panel(60, 20, 800, 250, t_range, (float(x_all.min()), float(x_all.max())))
     panel_n = _Panel(60, 310, 800, 250, t_range, (float(nes.min()), float(nes.max())))
 
-    px = panel_x.px(ts)
+    px = panel_x.px(ts)  # both panels share x0, width and t_range
     parts = [
         '<svg xmlns="http://www.w3.org/2000/svg" width="900" height="600" '
         'viewBox="0 0 900 600">',
@@ -257,7 +257,7 @@ def render_svg(traj: Trajectory, cert: Certificate, path: str | Path) -> None:
         panel_x.frame("density error x [particles/m^3] vs t [s]"),
         panel_n.frame("electron density n_e [particles/m^3] vs t [s]"),
         _polyline(px, panel_x.py(xs), "#1f77b4"),
-        _polyline(panel_n.px(ts), panel_n.py(nes), "#2ca02c"),
+        _polyline(px, panel_n.py(nes), "#2ca02c"),
     ]
     for series, colour in overlays_x:
         parts.append(_polyline(px, panel_x.py(series), colour, dash="6,4"))

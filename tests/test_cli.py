@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,6 +11,14 @@ from pelletsim.cli import main
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 NM = str(SCENARIO_DIR / "nm_tracking.json")
 SDM = str(SCENARIO_DIR / "sdm_windup.json")
+SRC = str(SCENARIO_DIR.parent / "src")
+
+
+def _module_cli(*args, **kwargs):
+    """`python -m pelletsim ARGS` in a child process, with this tree's source."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    return subprocess.Popen([sys.executable, "-m", "pelletsim", *args], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, **kwargs)
 
 
 def test_certify_prints_certificate(capsys):
@@ -96,3 +107,20 @@ def test_zero_rtol_is_accepted(capsys):
     code = main(["compare-oracle", NM, "--oracle-steps", "200", "--samples-per-tick", "1",
                  "--rtol", "0"])
     assert code in (0, 1)
+
+
+def test_runs_as_module():
+    child = _module_cli("--help")
+    out, err = child.communicate(timeout=60)
+    assert child.returncode == 0, err
+    assert b"usage: pelletsim" in out
+    assert b"compare-oracle" in out
+
+
+def test_closed_stdout_ends_quietly(tmp_path):
+    # `pelletsim verify ... | head -1`, with the reader gone before any write
+    child = _module_cli("verify", NM, "-o", str(tmp_path), cwd=tmp_path)
+    child.stdout.close()
+    _, err = child.communicate(timeout=60)
+    assert err == b""
+    assert child.returncode == 141  # as a shell reports SIGPIPE; not 2, bad input

@@ -1,9 +1,81 @@
-import pytest
+import math
+import tracemalloc
 
-from pelletsim import StepTooCoarse, Variant, compare, simulate, simulate_numeric
-from pelletsim.oracle import integrate_flow_rk4
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pelletsim import PlantParams, StepTooCoarse, Variant, compare, simulate, simulate_numeric
+from pelletsim.oracle import BLOCK, integrate_flow_rk4
 
 from conftest import make_scenario
+
+
+def _xi_rate(x, x_sat):
+    if x <= 0.0:
+        return 0.0
+    if x_sat is not None and x > x_sat:
+        return x_sat
+    return x
+
+
+def rk4_sequential(x0, xi0, dt, plant, x_sat, n_steps):
+    """Step-by-step RK4, the reference for the array evaluation of
+    integrate_flow_rk4.  xi's increments are summed with math.fsum: a running
+    sum drifts by up to n_steps*eps/2 (7.4e-13 seen at 1e5 clipped steps)."""
+    h = dt / n_steps
+    r, tau = plant.r, plant.tau
+    x, xi_increments = x0, [xi0]
+    for _ in range(n_steps):
+        k1x = (r - x) / tau
+        k1s = _xi_rate(x, x_sat)
+        x2 = x + 0.5 * h * k1x
+        k2x = (r - x2) / tau
+        k2s = _xi_rate(x2, x_sat)
+        x3 = x + 0.5 * h * k2x
+        k3x = (r - x3) / tau
+        k3s = _xi_rate(x3, x_sat)
+        x4 = x + h * k3x
+        k4x = (r - x4) / tau
+        k4s = _xi_rate(x4, x_sat)
+        xi_increments.append(h / 6.0 * (k1s + 2.0 * k2s + 2.0 * k3s + k4s))
+        x += h / 6.0 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+    return x, math.fsum(xi_increments)
+
+
+@st.composite
+def crossing_intervals(draw):
+    """x0 < 0 whose exact flow crosses zero inside the interval, at a drawn
+    fraction of it; x_sat absent, above every stage, or clipping."""
+    tau = draw(st.floats(1e-3, 1.0))
+    r = draw(st.floats(1e17, 1e21))
+    dt = tau * draw(st.floats(0.01, 3.0))
+    crossing = draw(st.floats(0.05, 0.95))
+    x0 = r - r * math.exp(crossing * dt / tau)
+    x_sat = draw(st.sampled_from([None, 2.0 * r, r * draw(st.floats(0.01, 1.0))]))
+    xi0 = draw(st.sampled_from([0.0, r * dt * draw(st.floats(0.0, 1.0))]))
+    n_steps = draw(st.sampled_from([1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 10**5]))
+    return x0, xi0, dt, PlantParams(tau=tau, r=r, alpha=r / 10), x_sat, n_steps
+
+
+@given(crossing_intervals())
+@settings(max_examples=60, deadline=None)
+def test_array_rk4_matches_sequential_steps(case):
+    x, xi = integrate_flow_rk4(*case)
+    x_ref, xi_ref = rk4_sequential(*case)
+    assert abs(x - x_ref) <= 1e-12 * abs(x_ref)
+    assert abs(xi - xi_ref) <= 1e-12 * abs(xi_ref)
+
+
+def test_memory_is_bounded_by_the_block(plant):
+    tracemalloc.start()
+    try:
+        integrate_flow_rk4(-1e19, 0.0, 1 / 70, plant, 4e19, 10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one array over all 10**6 steps' four stages would take 32 MB
+    assert peak < 2 * 2**20
 
 
 def test_step_must_divide_tick(nm_tracking):
