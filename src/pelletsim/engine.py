@@ -1,11 +1,23 @@
 """Tick-driven hybrid simulation.
 
 The engine alternates closed-form flow over one tick period with the
-controller's jump map, recording the hybrid time domain as it goes.  Tick
-times are always computed as k*t_c from the integer tick index, never by
-accumulating additions, so long horizons do not drift.  Intermediate flow
-samples exist only for output fidelity; every control decision is taken
-on the exact tick-boundary state.
+controller's jump map, recording the hybrid time domain.  Tick times are
+always computed as k*t_c from the integer tick index, never by accumulating
+additions, so long horizons do not drift.
+
+It runs in two passes.  Pass 1 is the tick recurrence, on boundary states
+only: per tick one scalar flow_x/flow_xi call gives the pre-jump state, and
+tick_jump the post-jump state, which starts the next tick.  Every control
+decision is taken there, on the exact boundary state.  Pass 2 fills the
+intermediate samples, which exist only for output fidelity: one array
+evaluation of flow_x_grid/flow_xi_grid over (tick start x interior offset),
+skipped at one sample per tick.  The interior samples of a partial last
+interval are one more row of that grid, and its end state at t_end is one
+more scalar flow_x/flow_xi call.
+
+The array forms are exact, not approximate: every sample is bit-identical
+to the scalar flow_x/flow_xi call at the same start state and offset, as
+the flow module states.
 """
 
 from __future__ import annotations
@@ -51,6 +63,9 @@ class Scenario:
 
     def __post_init__(self) -> None:
         validate(self.plant, self.actuator, self.controller)
+        for name in ("x0", "xi0", "t_end"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.x0 > self.plant.r:
             raise ValidationError(
                 f"x0={self.x0!r} exceeds the reference r={self.plant.r!r} (n_e would be negative)"
@@ -85,17 +100,19 @@ def simulate(scenario: Scenario) -> Trajectory:
     x_sat = scenario.x_sat
     flow_x, flow_xi = flow.flow_x, flow.flow_xi
     n_ticks = int(math.floor(scenario.t_end / t_c + _TICK_EPS))
-    # flow time of each sample within a tick; the last is t_c*(spt/spt) == t_c
-    offsets = [t_c * (m / spt) for m in range(1, spt + 1)]
 
+    # pass 1: the tick recurrence on boundary states; the pre-jump state is
+    # the flow over t_c from the tick start (t_c*(spt/spt) == t_c)
     x, xi = scenario.x0, scenario.xi0
-    xs, xis, fire_ticks = [x], [xi], []
+    xs, xis = [x], [xi]  # tick starts: the initial state, then post-jump states
+    pre_xs, pre_xis, fire_ticks = [], [], []
     since_fire = 0  # whole ticks since the last pellet, or since t = 0
     for k in range(1, n_ticks + 1):
-        xs += [flow_x(x, dt, plant) for dt in offsets]
-        xis += [flow_xi(x, xi, dt, plant, x_sat) for dt in offsets]
+        x_pre, xi_pre = flow_x(x, t_c, plant), flow_xi(x, xi, t_c, plant, x_sat)
+        pre_xs.append(x_pre)
+        pre_xis.append(xi_pre)
         since_fire += 1
-        boundary = HybridState(xs[-1], xis[-1], t_timer=t_c, t_prep_timer=since_fire * t_c)
+        boundary = HybridState(x_pre, xi_pre, t_timer=t_c, t_prep_timer=since_fire * t_c)
         outcome = tick_jump(boundary, plant, controller, actuator)
         x, xi = outcome.state_after.x, outcome.state_after.xi
         xs.append(x)
@@ -104,27 +121,41 @@ def simulate(scenario: Scenario) -> Trajectory:
             fire_ticks.append(k)
             since_fire = 0
 
+    # a partial last interval: the interior samples that fit, then t_end
+    offsets = [t_c * (m / spt) for m in range(1, spt)]  # interior flow times
+    remainder = scenario.t_end - t_c * n_ticks
+    tail = remainder > _TICK_EPS * t_c
+    n_tail = sum(dt < remainder - _TICK_EPS * t_c for dt in offsets) if tail else 0
+
+    # pass 2: row i holds tick start i, its interior samples and the
+    # pre-jump state of tick i+1, so the rows read in order are the samples
+    x_grid, xi_grid = np.empty((n_ticks + 1, spt + 1)), np.empty((n_ticks + 1, spt + 1))
+    x_grid[:, 0], xi_grid[:, 0] = xs, xis
+    x_grid[:-1, spt], xi_grid[:-1, spt] = pre_xs, pre_xis
+    if offsets:  # only when samples_per_tick > 1
+        rows = n_ticks + (n_tail > 0)
+        x0s, xi0s = x_grid[:rows, 0], xi_grid[:rows, 0]
+        x_grid[:rows, 1:spt] = flow.flow_x_grid(x0s, offsets, plant)
+        xi_grid[:rows, 1:spt] = flow.flow_xi_grid(x0s, xi0s, offsets, plant, x_sat)
+    if tail:
+        x_grid[-1, n_tail + 1] = flow_x(x, remainder, plant)
+        xi_grid[-1, n_tail + 1] = flow_xi(x, xi, remainder, plant, x_sat)
+    n_samples = n_ticks * (spt + 1) + 1 + (n_tail + 1 if tail else 0)
+
     # per tick: spt flow rows at j = k-1, then the post-jump row at j = k
     ticks = np.arange(n_ticks)[:, None]
     t_grid = np.hstack((t_c * (ticks + np.arange(1, spt + 1) / spt), t_c * (ticks + 1)))
     j_grid = np.hstack((np.repeat(ticks, spt, axis=1), ticks + 1))
+    t_tail = [t_c * (n_ticks + m / spt) for m in range(1, n_tail + 1)]
+    t_tail += [scenario.t_end] if tail else []
 
-    # a partial last interval: the flow samples that fit, then t_end itself
-    t_tail: list[float] = []
-    remainder = scenario.t_end - t_c * n_ticks
-    if remainder > _TICK_EPS * t_c:
-        dts = [dt for dt in offsets if dt < remainder - _TICK_EPS * t_c] + [remainder]
-        xs += [flow_x(x, dt, plant) for dt in dts]
-        xis += [flow_xi(x, xi, dt, plant, x_sat) for dt in dts]
-        t_tail = [t_c * (n_ticks + m / spt) for m in range(1, len(dts))] + [scenario.t_end]
-
-    fired = np.zeros(len(xs), dtype=bool)
+    fired = np.zeros(n_samples, dtype=bool)
     fired[np.array(fire_ticks, dtype=np.int64) * (spt + 1)] = True
     return Trajectory(
         t=np.concatenate(([0.0], t_grid.ravel(), t_tail)),
         j=np.concatenate(([0], j_grid.ravel(), [n_ticks] * len(t_tail))),
-        x=np.array(xs),
-        xi=np.array(xis),
+        x=x_grid.ravel()[:n_samples],
+        xi=xi_grid.ravel()[:n_samples],
         fired=fired,
         plant=plant, controller=controller, actuator=actuator,
     )

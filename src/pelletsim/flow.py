@@ -13,12 +13,22 @@ platforms, up to floating-point determinism.
 
 Because x is monotone during flow, each crossing occurs at most once per
 interval, so an interval has at most two breakpoints.
+
+``flow_x_grid`` and ``flow_xi_grid`` evaluate the same closed forms at every
+(start state, offset) pair at once, bit-identical to the scalar functions:
+each arithmetic step is one elementwise numpy operation in the scalar
+expression's order, each branch an ``np.where`` in the scalar branch order,
+and each transcendental goes through the same ``math`` function (mapped over
+a list), since numpy's own ``expm1``/``log`` may round differently.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, Sequence
+
+import numpy as np
 
 from .core import PlantParams
 
@@ -146,3 +156,71 @@ def flow_xi(
     if ts >= dt:
         return xi0 + _positive_increment(x_pos, dt - t_pos, plant)
     return xi0 + _positive_increment(x_pos, ts - t_pos, plant) + x_sat * (dt - ts)
+
+
+# --- array forms: the functions above at every (start, offset) pair ----------
+
+def _mapped(fn: Callable[[float], float], a: np.ndarray) -> np.ndarray:
+    """fn of every element, through Python's math library."""
+    return np.array(list(map(fn, a.ravel().tolist())), dtype=float).reshape(a.shape)
+
+
+def _snap_grid(t: np.ndarray, duration: np.ndarray, tau: float) -> np.ndarray:
+    eps = BOUNDARY_SNAP * tau
+    return np.where(t <= eps, 0.0, np.where(t >= duration - eps, duration, t))
+
+
+def _positive_increment_grid(x_a: np.ndarray, span: np.ndarray, plant: PlantParams) -> np.ndarray:
+    inc = plant.r * span + plant.tau * (plant.r - x_a) * _mapped(math.expm1, -span / plant.tau)
+    return np.where(inc > 0.0, inc, 0.0)  # max(0.0, inc)
+
+
+def flow_x_grid(x0: np.ndarray, dts: Sequence[float], plant: PlantParams) -> np.ndarray:
+    """flow_x(x0[i], dts[m], plant) at row i, column m, bit for bit."""
+    c = np.array([math.expm1(-dt / plant.tau) for dt in dts])
+    x0 = np.asarray(x0, dtype=float)[:, None]
+    x = x0 - (plant.r - x0) * c
+    return np.where(x <= plant.r, x, plant.r)
+
+
+def flow_xi_grid(
+    x0: np.ndarray,
+    xi0: np.ndarray,
+    dts: Sequence[float],
+    plant: PlantParams,
+    x_sat: float | None = None,
+) -> np.ndarray:
+    """flow_xi(x0[i], xi0[i], dts[m], plant, x_sat) at row i, column m, bit
+    for bit, for offsets dts[m] > 0.  The crossing times are computed once
+    per row; the branches of flow_xi are taken per element, in its order."""
+    r, tau = plant.r, plant.tau
+    x0 = np.asarray(x0, dtype=float)
+    xi0 = np.asarray(xi0, dtype=float)[:, None]
+    dt = np.array(dts, dtype=float)
+
+    # the piece where x >= 0 starts at t_pos, from x_pos
+    below = x0 < 0.0
+    t_zero = np.zeros_like(x0)
+    t_zero[below] = tau * _mapped(math.log1p, -x0[below] / r)
+    t0 = _snap_grid(t_zero[:, None], dt, tau)
+    negative = below[:, None] & (t0 >= dt)  # negative throughout
+    t_pos = np.where(below[:, None], t0, 0.0)
+    x_pos = np.where(below, 0.0, x0)[:, None]
+
+    span = dt - t_pos
+    if x_sat is None:
+        return np.where(negative, xi0, xi0 + _positive_increment_grid(x_pos, span, plant))
+    saturated = x_pos >= x_sat  # at x_sat from the piece start
+    if x_sat >= r:  # never reached from below
+        return np.select([negative, saturated], [xi0, xi0 + x_sat * span],
+                         xi0 + _positive_increment_grid(x_pos, span, plant))
+
+    t_sat = np.zeros_like(x_pos)
+    t_sat[~saturated] = tau * _mapped(math.log, (r - x_pos[~saturated]) / (r - x_sat))
+    ts = _snap_grid(t_pos + t_sat, dt, tau)
+    clipped = saturated | (ts <= t_pos)
+    unclipped = ts >= dt  # x_sat not reached within dt
+    kink = ~(negative | clipped | unclipped)
+    inc = _positive_increment_grid(x_pos, np.where(kink, ts, dt) - t_pos, plant)
+    return np.select([negative, clipped, unclipped], [xi0, xi0 + x_sat * span, xi0 + inc],
+                     xi0 + inc + x_sat * (dt - ts))

@@ -190,7 +190,7 @@ def write_trajectory_csv(traj: Trajectory, path: str | Path) -> None:
 
 # --- minimal SVG rendering -------------------------------------------------
 
-def _polyline(px: np.ndarray, py: np.ndarray, colour: str, dash: str = "") -> str:
+def _polyline(px: numfmt.Formatted, py: np.ndarray, colour: str, dash: str = "") -> str:
     from . import numfmt
 
     coords = b"".join(numfmt.rows("%.2f,%.2f ", (px, py))).decode("ascii")
@@ -249,7 +249,8 @@ def render_svg(traj: Trajectory, cert: Certificate, path: str | Path) -> None:
     panel_x = _Panel(60, 20, 800, 250, t_range, (float(x_all.min()), float(x_all.max())))
     panel_n = _Panel(60, 310, 800, 250, t_range, (float(nes.min()), float(nes.max())))
 
-    px = panel_x.px(ts)  # both panels share x0, width and t_range
+    # both panels share x0, width and t_range: one time column, formatted once
+    px = numfmt.formatted("%.2f", panel_x.px(ts))
     parts = [
         '<svg xmlns="http://www.w3.org/2000/svg" width="900" height="600" '
         'viewBox="0 0 900 600">',

@@ -22,6 +22,7 @@ the pad bytes of the whole block are dropped at once.
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
 from functools import cache
 from types import SimpleNamespace
 from typing import Iterator, Sequence
@@ -159,9 +160,38 @@ def _f2_field(v: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
 _FIELDS = {"%.9e": _e9_field, "%.2f": _f2_field, "%d": _int_field}
 
 
-def _field(conv: str, column: np.ndarray) -> list[np.ndarray]:
+@dataclass(frozen=True)
+class Formatted:
+    """A column formatted once, as one row of words per value, to be laid
+    into several ``rows`` calls.  Indexing selects rows."""
+
+    conv: str
+    words: np.ndarray  # (len, width) words; pad words hold nothing
+
+    def __len__(self) -> int:
+        return len(self.words)
+
+    def __getitem__(self, index) -> Formatted:
+        return Formatted(self.conv, self.words[index])
+
+
+def formatted(conv: str, column: np.ndarray) -> Formatted:
+    """`column` under one conversion, formatted once for reuse."""
+    blocks = [_field(conv, column[lo:lo + CHUNK]) for lo in range(0, len(column), CHUNK)]
+    words = np.zeros((len(column), max(map(len, blocks), default=0)), _WORD)
+    for lo, block in zip(range(0, len(column), CHUNK), blocks):
+        # right-aligned: leading pad words are dropped with the other pad
+        words[lo:lo + CHUNK, words.shape[1] - len(block):] = np.stack(block, axis=1)
+    return Formatted(conv, words)
+
+
+def _field(conv: str, column: np.ndarray | Formatted) -> list[np.ndarray]:
     """One conversion of one block of a column as word columns; slow rows
     by Python's `%`."""
+    if isinstance(column, Formatted):
+        if column.conv != conv:
+            raise ValueError(f"a column formatted as {column.conv!r} cannot fill {conv!r}")
+        return list(column.words.T)
     words, slow = _FIELDS[conv](column)
     for i in np.flatnonzero(slow).tolist():
         text = _words((conv % column[i].item()).encode("ascii"))
@@ -177,10 +207,11 @@ def _words(data: bytes) -> np.ndarray:
     return np.frombuffer(data.ljust(-(-len(data) // 4) * 4, b"\0"), _WORD)
 
 
-def rows(fmt: str, columns: Sequence[np.ndarray]) -> Iterator[bytes]:
+def rows(fmt: str, columns: Sequence[np.ndarray | Formatted]) -> Iterator[bytes]:
     """The bytes of ``"".join(fmt % row for row in zip(*columns))``, one
     bytes object per block of CHUNK rows.  `fmt` holds one "%.9e", "%.2f"
-    or "%d" per column, and no other '%'."""
+    or "%d" per column, and no other '%'.  A column may be given already
+    `formatted` under its conversion."""
     convs = re.findall(_CONVERSION, fmt)
     literals = re.split(_CONVERSION, fmt)
     if len(convs) != len(columns) or "%" in "".join(literals):

@@ -88,6 +88,22 @@ def test_directory_as_scenario_is_usage_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("section, field, value", [
+    ("init", "x0", float("nan")),
+    ("init", "xi0", float("inf")),
+    ("init", "xi0", float("nan")),
+    ("sim", "t_end", float("inf")),
+])
+def test_non_finite_initial_state_or_horizon_is_usage_error(section, field, value, tmp_path, capsys):
+    doc = json.loads(Path(NM).read_text())
+    doc[section][field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))  # writes NaN/Infinity, which json.loads reads back
+    assert main(["verify", str(bad), "-o", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and field in err
+
+
 @pytest.mark.parametrize("argv", [
     ["--oracle-steps", "0"],
     ["--oracle-steps", "-3"],
