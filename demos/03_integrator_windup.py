@@ -28,7 +28,7 @@ for variant in (ps.Variant.SDM, ps.Variant.NM):
     rep = ps.report(traj, cert)
 
     worst = float(traj.x.min())
-    residues = [s.state.xi / delta for s in traj.fire_samples()]
+    residues = traj.xi[traj.fired] / delta
     print(f"{variant.value}: certificate "
           + ("feasible" if cert.feasible else f"withheld ({cert.reason})"))
     print(f"  wind-up detected: {rep.windup_detected}")

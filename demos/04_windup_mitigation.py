@@ -32,7 +32,7 @@ for label, variant, actuator, delta in runs:
     print(f"  envelope: {rep.envelope_ok}   wind-up: {rep.windup_detected}")
     print(f"  steady error band [{m.min_x_steady:.3e}, {m.max_x_steady:.3e}]")
     if variant is ps.Variant.SDM_JM:
-        multiples = [s.state.xi / delta for s in traj.fire_samples()]
+        multiples = traj.xi[traj.fired] / delta
         print(f"  every post-fire residue below one threshold: {max(multiples) < 1.0}")
     render_svg(traj, cert, OUT / f"mitigated_{variant.value.lower()}.svg")
     print()

@@ -1,6 +1,7 @@
 """Pellet preparation time as a refractory period.
 
-A second timer blocks fires until t_prep has elapsed since the last shot.
+The gate blocks fires until l = ceil(t_prep/t_c) whole ticks have passed
+since the last shot.
 If the gate fits inside one tick it changes nothing at all (bitwise).  A
 gate spanning l ticks stretches every tuning constraint by l; the
 certificate tracks that, and a gas gun is just the limiting case where the
@@ -18,10 +19,9 @@ base = ps.Scenario(plant, ps.ActuatorSpec(t_c=1 / 70),
                    ps.ControllerSpec(ps.Variant.NM, 1.569e16), x0=plant.r, t_end=1.0)
 gated = ps.Scenario(plant, ps.ActuatorSpec(t_c=1 / 70, t_prep=0.012),
                     ps.ControllerSpec(ps.Variant.NM, 1.569e16), x0=plant.r, t_end=1.0)
-identical = all(
-    a.state == b.state and a.fired == b.fired
-    for a, b in zip(ps.simulate(base).samples, ps.simulate(gated).samples)
-)
+a, b = ps.simulate(base), ps.simulate(gated)
+identical = all(np.array_equal(getattr(a, column), getattr(b, column))
+                for column in ("t", "j", "x", "xi", "fired"))
 print(f"t_prep=12ms inside a 14.3ms tick: trajectories bitwise identical = {identical}")
 print()
 
@@ -32,7 +32,7 @@ cert = ps.certify(plant, actuator, controller)
 print(f"t_c=7ms, t_prep=17.5ms -> l={cert.l} ticks between pellets")
 print(f"  tc_max={cert.tc_max:.6f}s  delta_max={cert.delta_max:.3e}  feasible={cert.feasible}")
 traj = ps.simulate(ps.Scenario(plant, actuator, controller, x0=plant.r, t_end=1.0))
-gaps = np.diff([s.time.t for s in traj.fire_samples()])
+gaps = np.diff(traj.t[traj.fired])
 print(f"  observed fire spacing: min {gaps.min() * 1e3:.1f}ms "
       f"(= {round(float(gaps.min()) / actuator.t_c)} ticks), max {gaps.max() * 1e3:.1f}ms")
 m = ps.report(traj, cert).metrics
@@ -45,7 +45,7 @@ cert_gun = ps.certify(plant, gun, controller)
 print(f"gas gun: sampling {gun.t_c * 1e3:.0f}ms, preparation {gun.t_prep * 1e3:.0f}ms "
       f"-> l={cert_gun.l}, feasible={cert_gun.feasible}")
 traj_gun = ps.simulate(ps.Scenario(plant, gun, controller, x0=plant.r, t_end=1.0))
-gaps = np.diff([s.time.t for s in traj_gun.fire_samples()])
+gaps = np.diff(traj_gun.t[traj_gun.fired])
 print(f"  shots at least {gaps.min() * 1e3:.0f}ms apart, steady band "
       f"[{ps.report(traj_gun, cert_gun).metrics.min_x_steady:.3e}, "
       f"{ps.report(traj_gun, cert_gun).metrics.max_x_steady:.3e}]")

@@ -2,7 +2,7 @@
 pellet-based plasma density control."""
 
 from .bounds import certify, delta_max, envelope, r_max, tc_max, ub_ic_slow
-from .controllers import JumpOutcome, TickNotDue, tick_jump
+from .controllers import JumpOutcome, tick_jump
 from .core import (
     ActuatorMode,
     ActuatorSpec,
@@ -20,7 +20,7 @@ from .core import (
     validate,
 )
 from .engine import EmptyTrajectory, Scenario, simulate, steady_state_window
-from .flow import flow_segment, flow_x, flow_xi, sat_crossing_time, zero_crossing_time
+from .flow import flow_x, flow_xi, sat_crossing_time, zero_crossing_time
 from .io import (
     EmptyAxis,
     ParseError,
@@ -55,13 +55,12 @@ __all__ = [
     "ControllerSpec", "EmptyAxis", "EmptyTrajectory", "GridMismatch",
     "HybridState", "HybridTime", "JumpOutcome", "Metrics", "NonPositiveParam",
     "ParseError", "PlantParams", "RNotAboveAlpha", "RunResult", "Scenario",
-    "SchemaError", "StepTooCoarse", "TickNotDue", "Trajectory",
-    "TrajectorySample", "ValidationError", "Variant", "VerifyReport",
-    "certify", "check_contraction", "check_dwell", "check_envelope",
-    "check_zeno", "compare", "compute_metrics", "delta_max", "detect_windup",
-    "emit_scenario", "envelope", "flow_segment", "flow_x", "flow_xi",
-    "load_scenario", "parse_scenario", "r_max", "report", "run_scenario",
-    "sat_crossing_time", "simulate", "simulate_numeric", "steady_state_window",
-    "sweep", "tc_max", "tick_jump", "ub_ic_slow", "validate",
-    "zero_crossing_time",
+    "SchemaError", "StepTooCoarse", "Trajectory", "TrajectorySample",
+    "ValidationError", "Variant", "VerifyReport", "certify",
+    "check_contraction", "check_dwell", "check_envelope", "check_zeno",
+    "compare", "compute_metrics", "delta_max", "detect_windup",
+    "emit_scenario", "envelope", "flow_x", "flow_xi", "load_scenario",
+    "parse_scenario", "r_max", "report", "run_scenario", "sat_crossing_time",
+    "simulate", "simulate_numeric", "steady_state_window", "sweep", "tc_max",
+    "tick_jump", "ub_ic_slow", "validate", "zero_crossing_time",
 ]

@@ -1,15 +1,18 @@
-"""Tick decisions: the jump taken when the actuator timer reaches t_c.
+"""Tick decisions: the jump map applied at every tick, t = k*t_c.
 
 Every tick is a jump.  If the membrane potential is below threshold, or
-the preparation gate is still closed, only the tick timer resets.
-Otherwise a pellet fires: the error drops by alpha, both timers reset,
-and the membrane resets according to the variant.
+the preparation gate is still closed, the state carries over unchanged.
+Otherwise a pellet fires: the error drops by alpha and the membrane resets
+according to the variant.
 
-The gate counts in ticks, as the certificate does: at a tick boundary the
-preparation timer holds a whole number of ticks, and the gate opens once
-that number reaches ``ActuatorSpec.prep_ticks()``.  Comparing the timer
-with t_prep as floats instead would let rounding close the gate for one
-tick more on an exact multiple (7 * 0.003 sums to just under 0.021).
+Pellets fire only at ticks, so the model's clocks hold whole multiples of
+t_c at every jump and are not part of the state here.  The gate counts in
+whole ticks, as the certificate does: the caller passes ``since_fire``,
+the ticks since the last pellet (or since t = 0), and a pellet may fire
+once ``since_fire >= l`` with ``l = ActuatorSpec.prep_ticks()``.  Without a
+gate l is 1, which every tick meets.  Counting with integers keeps rounding
+out of the gate: seven 3 ms ticks summed as floats fall just short of
+0.021 s, but seven ticks are seven ticks.
 
 When xi equals the threshold exactly the decision is ambiguous in the
 set-valued model; here the tie is resolved in favour of firing, since
@@ -27,12 +30,7 @@ from dataclasses import dataclass
 
 from .core import ActuatorSpec, ControllerSpec, HybridState, PlantParams, Variant
 
-TICK_TOLERANCE = 1e-12
 FIRING_SLACK = 1e-9
-
-
-class TickNotDue(ValueError):
-    """tick_jump was called away from a tick boundary."""
 
 
 @dataclass(frozen=True)
@@ -52,32 +50,22 @@ def _split_threshold(xi: float, delta: float) -> tuple[int, float]:
 
 def tick_jump(
     state: HybridState,
+    since_fire: int,
     plant: PlantParams,
     controller: ControllerSpec,
     actuator: ActuatorSpec,
 ) -> JumpOutcome:
-    """Apply the jump map at a tick boundary.
+    """Apply the jump map to the boundary state of a tick, ``since_fire``
+    whole ticks after the last pellet.
 
     Pure function: identical inputs give identical outcomes.  The error
     either stays put or drops by exactly alpha; nothing else can happen
     to x at a jump.
     """
-    if abs(state.t_timer - actuator.t_c) > TICK_TOLERANCE * actuator.t_c:
-        raise TickNotDue(
-            f"t_timer={state.t_timer!r} is not at the tick boundary t_c={actuator.t_c!r}"
-        )
-
     delta = controller.delta
-    fires = state.xi >= delta * (1.0 - FIRING_SLACK) and (
-        not actuator.prep_enabled
-        or round(state.t_prep_timer / actuator.t_c) >= actuator.prep_ticks()
-    )
+    fires = state.xi >= delta * (1.0 - FIRING_SLACK) and since_fire >= actuator.prep_ticks()
     if not fires:
-        # timer-only jump: everything except T carries over
-        after = HybridState(
-            x=state.x, xi=state.xi, t_timer=0.0, t_prep_timer=state.t_prep_timer
-        )
-        return JumpOutcome(after, fired=False)
+        return JumpOutcome(state, fired=False)
 
     k = 0
     if controller.variant is Variant.NM:
@@ -88,7 +76,4 @@ def tick_jump(
             k, xi_after = 1, 0.0
     else:  # SDM and SDM_IC subtract a single threshold
         xi_after = max(0.0, state.xi - delta)
-    after = HybridState(
-        x=state.x - plant.alpha, xi=xi_after, t_timer=0.0, t_prep_timer=0.0
-    )
-    return JumpOutcome(after, fired=True, k_multiples=k)
+    return JumpOutcome(HybridState(state.x - plant.alpha, xi_after), fired=True, k_multiples=k)

@@ -149,23 +149,25 @@ class ControllerSpec:
 
 @dataclass(frozen=True)
 class HybridState:
-    """Full state (x, xi, T, T_p) between or at ticks.
+    """State (x, xi) between or at ticks.
+
+    The model's clocks T (time since the last tick) and T_p (time since the
+    last pellet) are not held here: at every tick they are whole multiples
+    of t_c, so the jump map takes the whole ticks since the last pellet as
+    an integer, and ``Trajectory.timers()`` derives T and T_p from t, j and
+    the fire times.
 
     The bound x <= r depends on the plant and is enforced where states meet a
     plant: at scenario construction and throughout the flow, which can only
     push x toward r from below.
     """
 
-    x: float              # density error r - n_e [particles/m^3]
-    xi: float             # membrane potential [particles*s/m^3]
-    t_timer: float = 0.0  # time since last tick [s]
-    t_prep_timer: float = 0.0  # time since last pellet [s]
+    x: float   # density error r - n_e [particles/m^3]
+    xi: float  # membrane potential [particles*s/m^3]
 
     def __post_init__(self) -> None:
         if self.xi < 0.0:
             raise ValidationError(f"xi must be nonnegative, got {self.xi!r}")
-        if self.t_timer < 0.0 or self.t_prep_timer < 0.0:
-            raise ValidationError("timers must be nonnegative")
 
 
 @dataclass(frozen=True, order=True)
@@ -185,15 +187,6 @@ class TrajectorySample:
     time: HybridTime
     state: HybridState
     fired: bool = False
-
-
-@dataclass(frozen=True)
-class TickEvent:
-    t: float
-    j_after: int
-    before: HybridState
-    after: HybridState
-    fired: bool
 
 
 # column name -> dtype, in row order
@@ -245,30 +238,14 @@ class Trajectory:
         """Indices of the post-jump rows; row i - 1 holds the pre-jump state."""
         return np.flatnonzero(np.diff(self.j) == 1) + 1
 
-    def _rows(self, index) -> tuple[TrajectorySample, ...]:
-        T, T_p = self.timers()
-        columns = (self.t, self.j, self.x, self.xi, T, T_p, self.fired)
-        return tuple(
-            TrajectorySample(HybridTime(t, j), HybridState(x, xi, tt, tp), f)
-            for t, j, x, xi, tt, tp, f in zip(*(c[index].tolist() for c in columns))
-        )
-
     @property
     def samples(self) -> tuple[TrajectorySample, ...]:
-        """Every row as a TrajectorySample, built afresh on each access."""
-        return self._rows(slice(None))
-
-    def fire_samples(self) -> tuple[TrajectorySample, ...]:
-        """Post-jump samples at which a pellet fired."""
-        return self._rows(self.fired)
-
-    def tick_events(self) -> tuple[TickEvent, ...]:
-        """(t, j_after, pre-jump state, post-jump state, fired) per tick."""
-        after = self.jump_rows()
-        befores, afters = self._rows(after - 1), self._rows(after)
+        """Every row as a TrajectorySample, built afresh on each access; for
+        speed, index the columns instead."""
+        columns = (self.t, self.j, self.x, self.xi, self.fired)
         return tuple(
-            TickEvent(b.time.t, a.time.j, b.state, a.state, a.fired)
-            for b, a in zip(befores, afters)
+            TrajectorySample(HybridTime(t, j), HybridState(x, xi), f)
+            for t, j, x, xi, f in zip(*(c.tolist() for c in columns))
         )
 
 
@@ -313,19 +290,10 @@ class Certificate:
 
 
 def validate(plant: PlantParams, actuator: ActuatorSpec, controller: ControllerSpec) -> None:
-    """Re-assert every cross-parameter invariant; raises on violation.
+    """Re-run the three specs' own construction checks; raises on violation.
 
     Constructors already enforce these, so this is cheap insurance on the
-    simulation entry path.
+    simulation entry path, without a second copy of any check.
     """
-    _require_positive("tau", plant.tau)
-    _require_positive("alpha", plant.alpha)
-    if plant.r <= plant.alpha:
-        raise RNotAboveAlpha(
-            f"reference r={plant.r!r} must exceed pellet increment alpha={plant.alpha!r}"
-        )
-    _require_positive("t_c", actuator.t_c)
-    _require_nonnegative("t_prep", actuator.t_prep)
-    if actuator.mode is ActuatorMode.GAS_GUN and not actuator.t_prep > 0.0:
-        raise NonPositiveParam("gas_gun mode requires t_prep > 0")
-    _require_positive("delta", controller.delta)
+    for spec in (plant, actuator, controller):
+        spec.__post_init__()

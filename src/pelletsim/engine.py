@@ -84,6 +84,15 @@ class Scenario:
             return self.controller.delta / self.actuator.t_c
         return None
 
+    def horizon_ticks(self) -> tuple[int, float]:
+        """The whole ticks in [0, t_end], and the length of the partial last
+        interval after them (0.0 when there is none).  A horizon within 1e-9
+        ticks of a tick ends on that tick, so no sliver of flow is left."""
+        t_c = self.actuator.t_c
+        n_ticks = int(math.floor(self.t_end / t_c + _TICK_EPS))
+        remainder = self.t_end - t_c * n_ticks
+        return n_ticks, remainder if remainder > _TICK_EPS * t_c else 0.0
+
 
 def simulate(scenario: Scenario) -> Trajectory:
     """Run the scenario and record its trajectory as columns.
@@ -99,7 +108,7 @@ def simulate(scenario: Scenario) -> Trajectory:
     spt = scenario.samples_per_tick
     x_sat = scenario.x_sat
     flow_x, flow_xi = flow.flow_x, flow.flow_xi
-    n_ticks = int(math.floor(scenario.t_end / t_c + _TICK_EPS))
+    n_ticks, remainder = scenario.horizon_ticks()
 
     # pass 1: the tick recurrence on boundary states; the pre-jump state is
     # the flow over t_c from the tick start (t_c*(spt/spt) == t_c)
@@ -112,8 +121,7 @@ def simulate(scenario: Scenario) -> Trajectory:
         pre_xs.append(x_pre)
         pre_xis.append(xi_pre)
         since_fire += 1
-        boundary = HybridState(x_pre, xi_pre, t_timer=t_c, t_prep_timer=since_fire * t_c)
-        outcome = tick_jump(boundary, plant, controller, actuator)
+        outcome = tick_jump(HybridState(x_pre, xi_pre), since_fire, plant, controller, actuator)
         x, xi = outcome.state_after.x, outcome.state_after.xi
         xs.append(x)
         xis.append(xi)
@@ -123,9 +131,8 @@ def simulate(scenario: Scenario) -> Trajectory:
 
     # a partial last interval: the interior samples that fit, then t_end
     offsets = [t_c * (m / spt) for m in range(1, spt)]  # interior flow times
-    remainder = scenario.t_end - t_c * n_ticks
-    tail = remainder > _TICK_EPS * t_c
-    n_tail = sum(dt < remainder - _TICK_EPS * t_c for dt in offsets) if tail else 0
+    tail = remainder > 0.0
+    n_tail = sum(dt < remainder - _TICK_EPS * t_c for dt in offsets)
 
     # pass 2: row i holds tick start i, its interior samples and the
     # pre-jump state of tick i+1, so the rows read in order are the samples

@@ -25,7 +25,6 @@ a list), since numpy's own ``expm1``/``log`` may round differently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -35,19 +34,6 @@ from .core import PlantParams
 # crossing times closer than this fraction of tau to either interval end are
 # snapped onto the end to avoid zero-length pieces
 BOUNDARY_SNAP = 1e-15
-
-ZERO_CROSSING = "zero_crossing"
-SAT_CROSSING = "sat_crossing"
-
-
-@dataclass(frozen=True)
-class FlowSegment:
-    """One flow interval with its interior kink offsets, each in (0, duration)."""
-
-    x_start: float
-    xi_start: float
-    duration: float
-    breakpoints: tuple[tuple[float, str], ...] = ()
 
 
 def flow_x(x0: float, dt: float, plant: PlantParams) -> float:
@@ -86,26 +72,6 @@ def _snap(t: float, duration: float, tau: float) -> float:
     if t >= duration - eps:
         return duration
     return t
-
-
-def flow_segment(
-    x0: float, xi_start: float, duration: float, plant: PlantParams, x_sat: float | None = None
-) -> FlowSegment:
-    """Locate the interior kinks of one flow interval."""
-    breakpoints: list[tuple[float, str]] = []
-    if x0 < 0.0:
-        t0 = _snap(zero_crossing_time(x0, plant), duration, plant.tau)
-        if 0.0 < t0 < duration:
-            breakpoints.append((t0, ZERO_CROSSING))
-    if x_sat is not None and x0 < x_sat:
-        ts = sat_crossing_time(x0, x_sat, plant)
-        if ts is not None:
-            ts = _snap(ts, duration, plant.tau)
-            if 0.0 < ts < duration:
-                breakpoints.append((ts, SAT_CROSSING))
-    assert len(breakpoints) <= 2
-    assert all(b < c for (b, _), (c, _) in zip(breakpoints, breakpoints[1:]))
-    return FlowSegment(x0, xi_start, duration, tuple(breakpoints))
 
 
 def _positive_increment(x_a: float, span: float, plant: PlantParams) -> float:

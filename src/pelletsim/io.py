@@ -68,14 +68,17 @@ def _number(section: dict, where: str, key: str, default=None) -> float:
     v = section[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise SchemaError(f"{where}.{key} must be a number, got {v!r}")
-    return float(v)
+    try:
+        return float(v)
+    except OverflowError:  # an integer beyond the float range
+        raise SchemaError(f"{where}.{key} is too large for a float") from None
 
 
 def parse_scenario(text: str) -> Scenario:
     """Parse and fully validate a scenario document."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer with too many digits
         raise ParseError(f"malformed JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise SchemaError("top level must be an object")

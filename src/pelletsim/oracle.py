@@ -86,15 +86,14 @@ def simulate_numeric(scenario: Scenario, step: float) -> Trajectory:
 
     x, xi = scenario.x0, scenario.xi0
     ts, js, xs, xis, fired = [0.0], [0], [x], [xi], [False]
-    n_ticks = int(math.floor(scenario.t_end / t_c + 1e-9))
+    n_ticks, remainder = scenario.horizon_ticks()
     since_fire = 0  # whole ticks since the last pellet, or since t = 0
 
     for k in range(1, n_ticks + 1):
         x, xi = integrate_flow_rk4(x, xi, t_c, plant, x_sat, n_sub)
         xi = max(0.0, xi)
         since_fire += 1
-        boundary = HybridState(x, xi, t_timer=t_c, t_prep_timer=since_fire * t_c)
-        outcome = tick_jump(boundary, plant, controller, actuator)
+        outcome = tick_jump(HybridState(x, xi), since_fire, plant, controller, actuator)
         ts += [t_c * k, t_c * k]
         js += [k - 1, k]
         xs += [x, outcome.state_after.x]
@@ -104,8 +103,7 @@ def simulate_numeric(scenario: Scenario, step: float) -> Trajectory:
         if outcome.fired:
             since_fire = 0
 
-    remainder = scenario.t_end - t_c * n_ticks
-    if remainder > 1e-9 * t_c:
+    if remainder > 0.0:
         n_tail = max(1, round(n_sub * remainder / t_c))
         x, xi = integrate_flow_rk4(x, xi, remainder, plant, x_sat, n_tail)
         ts.append(scenario.t_end)

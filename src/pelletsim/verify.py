@@ -164,13 +164,6 @@ class ComparisonResult:
     rtol: float
     passed: bool
 
-    def within(self, rtol: float) -> bool:
-        return (
-            self.fire_mismatch is None
-            and self.max_rel_x <= rtol
-            and self.max_rel_xi <= rtol
-        )
-
 
 def compare(traj_a: Trajectory, traj_b: Trajectory, rtol: float = 1e-6) -> ComparisonResult:
     """Maximum relative deviation of the pre-jump tick states, scaled by

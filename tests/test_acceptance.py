@@ -213,8 +213,8 @@ def test_criterion_8_multi_subtraction_residue_1000():
         plant = _random_plant(rng)
         delta = rng.uniform(1e10, 1e18)
         t_c = 0.01
-        state = HybridState(x=0.0, xi=delta * rng.uniform(1.0, 80.0), t_timer=t_c)
-        out = tick_jump(state, plant, ControllerSpec(Variant.SDM_JM, delta), ActuatorSpec(t_c=t_c))
+        state = HybridState(x=0.0, xi=delta * rng.uniform(1.0, 80.0))
+        out = tick_jump(state, 1, plant, ControllerSpec(Variant.SDM_JM, delta), ActuatorSpec(t_c=t_c))
         assert out.fired
         assert 0.0 <= out.state_after.xi < delta
     ok("criterion 8d: multi-threshold fires leave the residue in [0, delta)")

@@ -104,6 +104,17 @@ def test_non_finite_initial_state_or_horizon_is_usage_error(section, field, valu
     assert err.startswith("error:") and field in err
 
 
+@pytest.mark.parametrize("digits", [401, 5000])
+def test_integer_beyond_float_range_is_usage_error(digits, tmp_path, capsys):
+    # 401 digits parse as a Python int that float() cannot hold; 5000 digits
+    # exceed what the json module converts at all
+    text = Path(NM).read_text()
+    bad = tmp_path / "bad.json"
+    bad.write_text(text.replace('"r": 5e+19', '"r": 1' + "0" * (digits - 1), 1))
+    assert main(["verify", str(bad), "-o", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 @pytest.mark.parametrize("argv", [
     ["--oracle-steps", "0"],
     ["--oracle-steps", "-3"],

@@ -22,15 +22,15 @@ def test_first_pellet_fires_at_first_tick(nm_small_threshold):
     # from an empty plasma the membrane reaches any small threshold within
     # one tick: xi(t_c) = r*t_c >> 1
     traj = simulate(nm_small_threshold)
-    events = traj.tick_events()
-    assert events[0].fired
-    assert events[0].t == pytest.approx(1 / 70, rel=1e-12)
+    first = traj.jump_rows()[0]
+    assert traj.fired[first]
+    assert traj.t[first] == pytest.approx(1 / 70, rel=1e-12)
 
 
 def test_unreachable_threshold_gives_open_loop(plant):
     sc = make_scenario(plant, Variant.NM, 1e40, 1 / 70, x0=2e19, t_end=0.5)
     traj = simulate(sc)
-    assert len(traj.fire_samples()) == 0
+    assert not traj.fired.any()
     for s in traj.samples:
         assert s.state.x == pytest.approx(flow_x(2e19, s.time.t, plant), rel=1e-12)
 
@@ -43,10 +43,10 @@ def test_windup_variant_undershoots(sdm_windup):
 def test_jumps_only_at_tick_multiples(nm_tracking):
     traj = simulate(nm_tracking)
     t_c = nm_tracking.actuator.t_c
-    for event in traj.tick_events():
-        k = round(event.t / t_c)
+    for t in traj.t[traj.jump_rows()].tolist():
+        k = round(t / t_c)
         assert k >= 1
-        assert abs(event.t - k * t_c) <= 1e-12 * t_c
+        assert abs(t - k * t_c) <= 1e-12 * t_c
 
 
 def test_state_invariants_hold_on_every_sample(nm_tracking):
@@ -95,34 +95,34 @@ def test_bitwise_reproducible(nm_tracking):
 def test_sampling_density_does_not_change_decisions(plant):
     coarse = make_scenario(plant, Variant.SDM_JM, 1.569e16, 1 / 70, 5e19, samples_per_tick=1)
     fine = make_scenario(plant, Variant.SDM_JM, 1.569e16, 1 / 70, 5e19, samples_per_tick=25)
-    ea, eb = simulate(coarse).tick_events(), simulate(fine).tick_events()
-    assert len(ea) == len(eb)
-    for a, b in zip(ea, eb):
-        assert a.fired == b.fired
-        assert a.before == b.before
+    a, b = simulate(coarse), simulate(fine)
+    ra, rb = a.jump_rows(), b.jump_rows()
+    assert len(ra) == len(rb)
+    assert np.array_equal(a.fired[ra], b.fired[rb])
+    # the pre-jump states, and the timers at them, agree exactly
+    (ta, tpa), (tb, tpb) = a.timers(), b.timers()
+    for col_a, col_b in ((a.x, b.x), (a.xi, b.xi), (ta, tb), (tpa, tpb)):
+        assert np.array_equal(col_a[ra - 1], col_b[rb - 1])
 
 
 def test_time_invariance_from_post_fire_state(nm_tracking):
     """Restarting from any post-fire state reproduces the shifted tail bitwise."""
     traj = simulate(nm_tracking)
-    anchor = traj.fire_samples()[5]
+    anchor = np.flatnonzero(traj.fired)[5]
     tail = Scenario(
         plant=nm_tracking.plant,
         actuator=nm_tracking.actuator,
         controller=nm_tracking.controller,
-        x0=anchor.state.x,
-        xi0=anchor.state.xi,
-        t_end=nm_tracking.t_end - anchor.time.t,
+        x0=float(traj.x[anchor]),
+        xi0=float(traj.xi[anchor]),
+        t_end=nm_tracking.t_end - float(traj.t[anchor]),
         samples_per_tick=nm_tracking.samples_per_tick,
     )
     shifted = simulate(tail)
-    original_tail = [
-        s for s in traj.samples
-        if (s.time.t, s.time.j) >= (anchor.time.t, anchor.time.j)
-    ]
-    for sa, sb in zip(original_tail[:300], shifted.samples[:300]):
-        assert sa.state.x == sb.state.x
-        assert sa.state.xi == sb.state.xi
+    # rows are in hybrid-time order, so the tail from the anchor on is a slice
+    n = min(300, len(traj) - anchor, len(shifted))
+    assert np.array_equal(traj.x[anchor:anchor + n], shifted.x[:n])
+    assert np.array_equal(traj.xi[anchor:anchor + n], shifted.xi[:n])
 
 
 def test_prep_within_one_tick_changes_nothing(plant):
@@ -137,7 +137,7 @@ def test_prep_within_one_tick_changes_nothing(plant):
 
 def test_prep_gate_spaces_fires(nm_prep_gate):
     traj = simulate(nm_prep_gate)
-    fire_times = [s.time.t for s in traj.fire_samples()]
+    fire_times = traj.t[traj.fired]
     t_c = nm_prep_gate.actuator.t_c
     gaps = np.diff(fire_times)
     assert gaps.min() >= 3 * t_c - 1e-12  # l = ceil(0.0175/0.007) = 3
@@ -146,7 +146,7 @@ def test_prep_gate_spaces_fires(nm_prep_gate):
 def test_nonzero_initial_membrane_allowed(plant):
     sc = make_scenario(plant, Variant.NM, 1.569e16, 1 / 70, x0=1e19, xi0=5e16, t_end=0.1)
     traj = simulate(sc)
-    assert traj.tick_events()[0].fired  # xi0 already above threshold
+    assert traj.fired[traj.jump_rows()[0]]  # xi0 already above threshold
 
 
 def test_scenario_rejects_x0_above_reference(plant):
@@ -171,7 +171,7 @@ def test_partial_final_interval_sampled(plant):
     sc = make_scenario(plant, Variant.NM, 1e40, 1 / 70, x0=1e19, t_end=0.05)
     traj = simulate(sc)
     assert traj.t_end == pytest.approx(0.05, rel=1e-12)
-    assert traj.samples[-1].time.j == len(traj.tick_events())
+    assert traj.samples[-1].time.j == len(traj.jump_rows())
 
 
 def test_long_horizon_has_no_tick_drift(plant):
@@ -180,8 +180,8 @@ def test_long_horizon_has_no_tick_drift(plant):
                        samples_per_tick=1)
     traj = simulate(sc)
     t_c = sc.actuator.t_c
-    for i, event in enumerate(traj.tick_events()):
-        assert event.t == (i + 1) * t_c
+    for i, t in enumerate(traj.t[traj.jump_rows()].tolist()):
+        assert t == (i + 1) * t_c
     for s in traj.samples:
         assert -plant.alpha < s.state.x <= plant.r
 
@@ -211,5 +211,4 @@ def test_samples_mirror_the_columns(nm_prep_gate):
     for i, s in enumerate(traj.samples):
         assert (s.time.t, s.time.j, s.state.x, s.state.xi, s.fired) == (
             traj.t[i], traj.j[i], traj.x[i], traj.xi[i], traj.fired[i])
-        assert (s.state.t_timer, s.state.t_prep_timer) == (T[i], T_p[i])
     assert np.all(T[traj.fired] == 0.0) and np.all(T_p[traj.fired] == 0.0)

@@ -11,7 +11,6 @@ from scipy.optimize import brentq
 
 from pelletsim import (
     PlantParams,
-    flow_segment,
     flow_x,
     flow_xi,
     sat_crossing_time,
@@ -137,24 +136,6 @@ class TestFlowXi:
 
     def test_zero_duration_is_identity(self, plant):
         assert flow_xi(1e19, 5e16, 0.0, plant) == 5e16
-
-
-class TestFlowSegment:
-    def test_interior_breakpoints_ordered_and_capped(self, plant):
-        seg = flow_segment(-1e19, 0.0, 0.5, plant, x_sat=1e19)
-        kinds = [k for _, k in seg.breakpoints]
-        assert kinds == ["zero_crossing", "sat_crossing"]
-        offsets = [o for o, _ in seg.breakpoints]
-        assert offsets == sorted(offsets)
-        assert all(0.0 < o < 0.5 for o in offsets)
-
-    def test_no_breakpoints_for_positive_unclipped(self, plant):
-        assert flow_segment(1e19, 0.0, 0.5, plant).breakpoints == ()
-
-    def test_crossing_at_boundary_is_snapped_away(self, plant):
-        t0 = zero_crossing_time(-1e19, plant)
-        seg = flow_segment(-1e19, 0.0, t0, plant)
-        assert seg.breakpoints == ()
 
 
 class TestAgainstRK4:

@@ -102,8 +102,8 @@ def scalar_samples(scenario):
         xs += [flow_x(x, dt, plant) for dt in offsets]
         xis += [flow_xi(x, xi, dt, plant, x_sat) for dt in offsets]
         since_fire += 1
-        outcome = tick_jump(HybridState(xs[-1], xis[-1], t_timer=t_c, t_prep_timer=since_fire * t_c),
-                            plant, scenario.controller, scenario.actuator)
+        outcome = tick_jump(HybridState(xs[-1], xis[-1]), since_fire, plant, scenario.controller,
+                            scenario.actuator)
         x, xi = outcome.state_after.x, outcome.state_after.xi
         xs.append(x)
         xis.append(xi)

@@ -112,7 +112,7 @@ def test_single_tick_decision_agrees(plant):
     sc = make_scenario(plant, Variant.NM, 1.569e16, 1 / 70, x0=5e19, t_end=1 / 70)
     a = simulate(sc)
     n = simulate_numeric(sc, (1 / 70) / 1000)
-    assert a.tick_events()[0].fired == n.tick_events()[0].fired
+    assert a.fired[a.jump_rows()[0]] == n.fired[n.jump_rows()[0]]
 
 
 def test_fourth_order_convergence_on_smooth_segment(plant):
@@ -136,6 +136,6 @@ def test_fire_sequences_agree_across_variants(request, fixture):
     scenario = request.getfixturevalue(fixture)
     analytic = simulate(scenario)
     numeric = simulate_numeric(scenario, scenario.actuator.t_c / 1000)
-    fires_a = [e.fired for e in analytic.tick_events()]
-    fires_n = [e.fired for e in numeric.tick_events()]
+    fires_a = analytic.fired[analytic.jump_rows()].tolist()
+    fires_n = numeric.fired[numeric.jump_rows()].tolist()
     assert fires_a == fires_n

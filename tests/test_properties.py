@@ -109,8 +109,8 @@ class TestJumpProperties:
     @settings(max_examples=300, deadline=None)
     def test_multi_subtraction_lands_below_threshold(self, plant, delta, multiple):
         actuator = ActuatorSpec(t_c=0.01)
-        state = HybridState(x=0.0, xi=multiple * delta, t_timer=0.01)
-        out = tick_jump(state, plant, ControllerSpec(Variant.SDM_JM, delta), actuator)
+        state = HybridState(x=0.0, xi=multiple * delta)
+        out = tick_jump(state, 1, plant, ControllerSpec(Variant.SDM_JM, delta), actuator)
         assert out.fired
         assert out.k_multiples >= 1
         assert 0.0 <= out.state_after.xi < delta
@@ -120,8 +120,8 @@ class TestJumpProperties:
     @settings(max_examples=300, deadline=None)
     def test_below_threshold_never_fires(self, plant, delta, frac):
         actuator = ActuatorSpec(t_c=0.01)
-        state = HybridState(x=0.0, xi=frac * delta * (1.0 - 1e-6), t_timer=0.01)
-        out = tick_jump(state, plant, ControllerSpec(Variant.NM, delta), actuator)
+        state = HybridState(x=0.0, xi=frac * delta * (1.0 - 1e-6))
+        out = tick_jump(state, 1, plant, ControllerSpec(Variant.NM, delta), actuator)
         assert not out.fired
 
 
@@ -172,8 +172,8 @@ class TestTrajectoryProperties:
         assert cert.feasible
         traj = simulate(short_scenario(plant, actuator, controller, x0))
         assert check_envelope(traj, cert)[0] is True
-        for s in traj.fire_samples():
-            assert 0.0 <= s.state.xi < controller.delta
+        residues = traj.xi[traj.fired]
+        assert np.all((0.0 <= residues) & (residues < controller.delta))
 
     @given(gated_setups(), st.sampled_from([Variant.NM, Variant.SDM_JM]))
     @settings(max_examples=200, deadline=None)

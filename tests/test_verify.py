@@ -72,12 +72,8 @@ class TestDwell:
         assert ok is True
         # the bound only covers gaps opened with positive error; cycles opened
         # below zero may wait longer while the error climbs back
-        fires = traj.fire_samples()
-        gaps = [
-            b.time.t - a.time.t
-            for a, b in zip(fires, fires[1:])
-            if a.state.x > 0.0
-        ]
+        fire_t, fire_x = traj.t[traj.fired], traj.x[traj.fired]
+        gaps = [b - a for a, b, x in zip(fire_t, fire_t[1:], fire_x) if x > 0.0]
         assert gaps and max(gaps) <= cert.tau_d + 1e-9
 
     def test_single_pellet_vacuous(self, plant):
@@ -170,7 +166,7 @@ class TestMetricsAndReport:
         m = compute_metrics(traj)
         assert m.settling_time is not None
         assert 0.0 < m.settling_time < traj.t_end
-        assert m.pellet_count == len(traj.fire_samples())
+        assert m.pellet_count == len(traj.t[traj.fired])
 
     def test_report_aggregates_and_passes(self, nm_tracking):
         traj, cert = run(nm_tracking)
