@@ -9,6 +9,7 @@ of stdout closed it early.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -83,10 +84,12 @@ def _cmd_compare_oracle(args) -> int:
     return 0 if result.passed else 1
 
 
-def _at_least_one(text: str) -> int:
+def _step_count(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if value > sys.float_info.max:  # t_c / value would overflow
+        raise argparse.ArgumentTypeError(f"must be at most {sys.float_info.max!r}")
     return value
 
 
@@ -97,7 +100,10 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args keeps no
+    state between calls."""
     parser = argparse.ArgumentParser(
         prog="pelletsim",
         description="Deterministic simulator and tuning certificates for "
@@ -121,10 +127,13 @@ def main(argv=None) -> int:
     p_sweep.add_argument("--values", required=True, help="comma-separated numbers")
     p_cmp = sub.add_parser("compare-oracle", help="cross-check against RK4 integration")
     add_common(p_cmp, outdir=False)
-    p_cmp.add_argument("--oracle-steps", type=_at_least_one, default=1000, metavar="N")
+    p_cmp.add_argument("--oracle-steps", type=_step_count, default=1000, metavar="N")
     p_cmp.add_argument("--rtol", type=_tolerance, default=1e-6)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     handlers = {
         "certify": _cmd_certify,
         "simulate": _cmd_simulate,

@@ -3,30 +3,114 @@
 Classical fourth-order Runge-Kutta on (x, xi) between ticks, with the same
 jump logic applied at tick boundaries.  Sharing the jump map is deliberate:
 this module validates the closed-form flow integration, while the jump
-logic is pinned by hand-computed cases in its own tests.  Steps are
-evaluated as arrays in blocks of bounded size.  Kinks of the clipped
-integrator input are handled only by taking enough steps; no event
-localization is attempted.  Not for production use.
+logic is pinned by hand-computed cases in its own tests.  The RK4 stages
+that feed xi are summed in closed form over each run of steps that the
+clipping treats alike, so an interval costs O(1) without clipping and a
+bisection of O(log n_steps) per run boundary with it, whatever the step
+count.  Kinks of the clipped integrator input are handled only by taking
+enough steps; no event localization is attempted.  Not for production use.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-
-import numpy as np
+from typing import Callable, NamedTuple
 
 from .controllers import tick_jump
 from .core import HybridState, PlantParams, Trajectory
 from .engine import Scenario
 
 MIN_SUBSTEPS = 100
-BLOCK = 4096  # RK4 steps evaluated per array operation; bounds the memory used
-_STEP_INDEX = np.arange(BLOCK, dtype=float)
-_RK4_WEIGHTS = np.array([1.0, 2.0, 2.0, 1.0])
+# Taylor coefficients of (e**y - 1 - y)/y**2, highest first; 15 terms reach
+# double precision for |y| <= 0.5
+_PHI_TAYLOR = tuple(1.0 / math.factorial(k + 2) for k in reversed(range(15)))
 
 
 class StepTooCoarse(ValueError):
     pass
+
+
+def _phi(y: float) -> float:
+    """(e**y - 1 - y)/y**2, without its cancellation at small |y|."""
+    if abs(y) > 0.5:
+        return (math.expm1(y) - y) / (y * y)
+    acc = 0.0
+    for c in _PHI_TAYLOR:
+        acc = acc * y + c
+    return acc
+
+
+def _first_true(pred: Callable[[int], bool], lo: int, hi: int, guess: float) -> int:
+    """Smallest n in [lo, hi] with pred(n), for pred monotone in n and true
+    at hi: ceil(guess) when pred turns true there, else by bisection."""
+    n = math.ceil(guess) if lo < guess < hi else lo
+    if not pred(n):
+        lo = n + 1
+    elif n == lo or not pred(n - 1):
+        return n
+    else:
+        hi = n - 1
+    while lo < hi:
+        n = (lo + hi) // 2
+        if pred(n):
+            hi = n
+        else:
+            lo = n + 1
+    return lo
+
+
+class _Steps(NamedTuple):
+    """The RK4 constants of one interval length and step count."""
+
+    h: float
+    log_g: float        # log of the step factor g
+    g_minus_1: float
+    phi_step: float     # _phi(log_g)
+    stages: tuple       # (RK4 weight, p_k, p_k - 1) for each stage
+    p_range: tuple      # (min, max) of p_k
+    weighted_p: float   # sum of weight*p_k
+    weighted_p_minus_1: float
+    g_last: float       # g**(n_steps - 1)
+    g_end: float        # g**n_steps
+    h_excess: float     # _h_expm1_sum over all n_steps
+
+
+def _h_expm1_sum(m: int, h: float, log_g: float, g_minus_1: float, phi_step: float) -> float:
+    """h*sum(g**j - 1 for j < m), that is h*((g**m - 1)/(g - 1) - m),
+    without its cancellation."""
+    if g_minus_1 == 0.0:
+        return 0.0
+    return h * m * log_g * (log_g / g_minus_1) * (m * _phi(m * log_g) - phi_step)
+
+
+@functools.lru_cache(maxsize=16)
+def _rk4_steps(dt: float, tau: float, n_steps: int) -> _Steps:
+    """x' = (r - x)/tau is linear, so RK4 scales x - r by fixed factors: the
+    stages of step n sit at r + (x0 - r)*g**n*(1, p1, p2, p3), with g the
+    step factor.  g**n is taken as exp(n*log1p(g - 1)) from the absolute
+    step index: g - 1 keeps the digits that rounding g to a float loses, so
+    the error does not grow with n as that of a float g raised to n does.
+    Every tick of a run shares these."""
+    h = dt / n_steps
+    z = -h / tau
+    p1 = 1.0 + 0.5 * z
+    p2 = 1.0 + 0.5 * z * p1
+    p3 = 1.0 + z * p2
+    weights = 1.0 + 2.0 * p1 + 2.0 * p2 + p3
+    g_minus_1 = z / 6.0 * weights
+    log_g = math.log1p(g_minus_1)
+    phi_step = _phi(log_g)
+    return _Steps(
+        h, log_g, g_minus_1, phi_step,
+        stages=((1.0, 1.0, 0.0), (2.0, p1, 0.5 * z), (2.0, p2, 0.5 * z * p1), (1.0, p3, z * p2)),
+        p_range=(min(1.0, p1, p2, p3), max(1.0, p1, p2, p3)),
+        weighted_p=weights,
+        weighted_p_minus_1=z * (1.0 + p1 + p2),
+        g_last=math.exp((n_steps - 1) * log_g),
+        g_end=math.exp(n_steps * log_g),
+        h_excess=_h_expm1_sum(n_steps, h, log_g, g_minus_1, phi_step),
+    )
 
 
 def integrate_flow_rk4(
@@ -39,32 +123,86 @@ def integrate_flow_rk4(
 ) -> tuple[float, float]:
     """RK4 over one flow interval; x feeds xi but not vice versa.
 
-    x' = (r - x)/tau is linear, so RK4 scales x - r by fixed factors: the
-    stages of step n sit at r + (x0 - r)*g**n*(1, p1, p2, p3), with g the
-    step factor.  g**n is taken as exp(n*log1p(g - 1)) from the absolute
-    step index: g - 1 keeps the digits that rounding g to a float loses, so
-    the error does not grow with n as that of a float g raised to n does.
+    x follows r + (x0 - r)*g**n (_rk4_steps).  xi sums the RK4 stages
+    clipped to [0, x_sat].  Each stage is monotone in n, so the clipping
+    splits the steps into at most three runs: constant 0, unclipped, and
+    constant x_sat.  Their boundaries are found by bisection on the stage
+    value, and an unclipped run is a geometric sum.  An interval without
+    clipping costs O(1) for all four stages together, one with clipping
+    O(log n_steps) per run boundary.  The result is the fixed-step RK4
+    solution, not the exact flow: where a stage meets 0 or x_sat inside a
+    step, only the step count bounds the error of its kink.
     """
-    h = dt / n_steps
+    (h, log_g, g_minus_1, phi_step, stages, (p_min, p_max), weighted_p,
+     weighted_p_minus_1, g_last, g_end, h_excess) = _rk4_steps(dt, plant.tau, n_steps)
     r, e0 = plant.r, x0 - plant.r
-    z = -h / plant.tau
-    p1 = 1.0 + 0.5 * z
-    p2 = 1.0 + 0.5 * z * p1
-    p3 = 1.0 + z * p2
-    log_g = math.log1p(z / 6.0 * (1.0 + 2.0 * p1 + 2.0 * p2 + p3))
-    factors = np.array([[1.0], [p1], [p2], [p3]])
-    stage_sums = np.zeros(4)
-    for start in range(0, n_steps, BLOCK):
-        n = _STEP_INDEX[: min(BLOCK, n_steps - start)] + start
-        stages = factors * (e0 * np.exp(n * log_g))
-        stages += r
-        np.clip(stages, 0.0, x_sat, out=stages)
-        stage_sums += stages.sum(axis=1)
-    xi = xi0 + h / 6.0 * float(_RK4_WEIGHTS @ stage_sums)
-    return r + e0 * math.exp(n_steps * log_g), xi
+    x_end = r + e0 * g_end
+
+    # Stage k of step n is r*(1 - P_k*g**n), with P_k = p_k*(1 - q) and
+    # q = x0/r.  The sums below start from P_k - 1 = (p_k - 1)*(1 - q) - q
+    # and from sum(g**j - 1), so that none cancels where a stage nears 0, as
+    # m*r + (x0 - r)*p_k*(g**m - 1)/(g - 1) would.  Each is scaled by h
+    # before it can overflow.
+    q = x0 / r
+    rho = 1.0 - q
+    top = math.inf if x_sat is None else x_sat
+    e_last = e0 * g_last
+    # stage values are linear in p_k: the extreme ones bound the rest
+    ends = (p_min * e0 + r, p_max * e0 + r, p_min * e_last + r, p_max * e_last + r)
+    if min(ends) >= 0.0 and max(ends) <= top:
+        # no clipping: the four stages' sums in one expression
+        h_total = -r * (h * n_steps * (rho * weighted_p_minus_1 - 6.0 * q)
+                        + rho * weighted_p * h_excess)
+        return x_end, xi0 + h_total / 6.0
+
+    last = n_steps - 1
+
+    def first_past(p: float, v0: float, v1: float, level: float, rising: bool, lo: int) -> int:
+        """First step n >= lo at which the stage p*(e0*g**n) + r, running
+        from v0 to v1, has reached level; n_steps if it never does."""
+        if (v0 >= level) if rising else (v0 <= level):
+            return lo
+        if (v1 < level) if rising else (v1 > level):
+            return n_steps
+
+        def reached(n: int) -> bool:
+            v = p * (e0 * math.exp(n * log_g)) + r
+            return v >= level if rising else v <= level
+
+        ratio = (level - r) / (p * e0)  # g**n at the real crossing
+        guess = math.log(ratio) / log_g if ratio > 0.0 else math.nan
+        return _first_true(reached, max(lo, 1), last, guess)
+
+    h_total = 0.0
+    runs: dict[tuple[int, int], tuple[float, float, float]] = {}
+    for weight, p, p_minus_1 in stages:
+        v0, v1 = p * e0 + r, p * e_last + r
+        rising = v0 <= v1  # rising: clipped at 0, unclipped, clipped at x_sat
+        start = first_past(p, v0, v1, 0.0 if rising else top, rising, 0)
+        stop = first_past(p, v0, v1, top if rising else 0.0, rising, start)
+        n_sat = n_steps - stop if rising else start
+        if n_sat:
+            h_total += weight * x_sat * (h * n_sat)
+        if stop > start:
+            w, wp, wd = runs.get((start, stop), (0.0, 0.0, 0.0))
+            runs[start, stop] = (w + weight, wp + weight * p, wd + weight * p_minus_1)
+    # the stages that share an unclipped run are summed together, from the
+    # weighted sums of p_k and p_k - 1 over them
+    for (start, stop), (w, wp, wd) in runs.items():
+        # P*g**start and P*g**start - 1: the run written from its first step
+        big_p, big_p_minus_1 = wp * rho, wd * rho - w * q
+        if start:
+            grown = big_p * math.expm1(start * log_g)
+            big_p, big_p_minus_1 = big_p + grown, big_p_minus_1 + grown
+        m = stop - start
+        h_sum = _h_expm1_sum(m, h, log_g, g_minus_1, phi_step)
+        h_total -= r * (h * m * big_p_minus_1 + big_p * h_sum)
+    return x_end, xi0 + h_total / 6.0
 
 
 def _substeps_per_tick(t_c: float, step: float) -> int:
+    if not (step > 0.0 and t_c / step < math.inf):
+        raise StepTooCoarse(f"step={step!r} is too small to count the substeps of t_c={t_c!r}")
     n = round(t_c / step)
     if n < 1 or abs(n * step - t_c) > 1e-9 * t_c:
         raise StepTooCoarse(f"step={step!r} does not divide the tick period t_c={t_c!r}")

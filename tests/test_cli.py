@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from pelletsim.cli import main
+from pelletsim.cli import _parser, main
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 NM = str(SCENARIO_DIR / "nm_tracking.json")
@@ -121,6 +121,7 @@ def test_integer_beyond_float_range_is_usage_error(digits, tmp_path, capsys):
     ["--rtol", "-1"],
     ["--rtol", "nan"],
     ["--rtol", "inf"],
+    ["--oracle-steps", "1" + "0" * 400],  # t_c / steps would overflow
 ])
 def test_bad_compare_oracle_option_is_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -134,6 +135,22 @@ def test_zero_rtol_is_accepted(capsys):
     code = main(["compare-oracle", NM, "--oracle-steps", "200", "--samples-per-tick", "1",
                  "--rtol", "0"])
     assert code in (0, 1)
+
+
+def test_compare_oracle_at_10_to_the_30_steps_per_tick(capsys):
+    # the RK4 sums are closed forms, so the step count costs only bisection
+    assert main(["compare-oracle", NM, "--oracle-steps", "1" + "0" * 30]) == 0
+
+
+def test_no_option_carries_over_between_calls(tmp_path, capsys):
+    # main builds its parser once per process
+    assert main(["compare-oracle", NM, "--rtol", "0"]) == 1
+    assert main(["compare-oracle", NM]) == 0
+    assert _parser().parse_args(["compare-oracle", NM]).rtol == 1e-6
+    assert main(["sweep", NM, "-o", str(tmp_path / "sweep"), "--axis", "delta",
+                 "--values", "1e15", "--samples-per-tick", "2"]) == 0
+    assert main(["verify", NM, "-o", str(tmp_path / "verify")]) == 0
+    assert not hasattr(_parser().parse_args(["verify", NM]), "axis")
 
 
 def test_runs_as_module():

@@ -1,14 +1,20 @@
 import math
 import tracemalloc
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pelletsim import PlantParams, StepTooCoarse, Variant, compare, simulate, simulate_numeric
-from pelletsim.oracle import BLOCK, integrate_flow_rk4
+from pelletsim import (PlantParams, StepTooCoarse, Variant, compare, flow_x, flow_xi, simulate,
+                       simulate_numeric)
+from pelletsim.io import load_scenario
+from pelletsim.oracle import _first_true, integrate_flow_rk4
 
 from conftest import make_scenario
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def _xi_rate(x, x_sat):
@@ -54,7 +60,7 @@ def crossing_intervals(draw):
     x0 = r - r * math.exp(crossing * dt / tau)
     x_sat = draw(st.sampled_from([None, 2.0 * r, r * draw(st.floats(0.01, 1.0))]))
     xi0 = draw(st.sampled_from([0.0, r * dt * draw(st.floats(0.0, 1.0))]))
-    n_steps = draw(st.sampled_from([1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 10**5]))
+    n_steps = draw(st.sampled_from([1, 2, 4095, 4096, 4097, 10**5]))
     return x0, xi0, dt, PlantParams(tau=tau, r=r, alpha=r / 10), x_sat, n_steps
 
 
@@ -67,15 +73,91 @@ def test_array_rk4_matches_sequential_steps(case):
     assert abs(xi - xi_ref) <= 1e-12 * abs(xi_ref)
 
 
-def test_memory_is_bounded_by_the_block(plant):
+@st.composite
+def clipping_intervals(draw):
+    """Intervals that reach every branch of the closed sums: x0 at 0, r or
+    -3r, anywhere in [0, r], or crossing 0 in the first or last 1% of the
+    interval or only after it; x_sat absent, at r or 2r, or anywhere in
+    (0.01, 1)*r, which saturates whole intervals that start above it."""
+    tau = draw(st.floats(1e-3, 1.0))
+    r = draw(st.floats(1e17, 1e21))
+    dt = tau * draw(st.floats(0.01, 3.0))
+    start = draw(st.sampled_from(["0", "r", "-3r", "uniform", "early", "late", "below"]))
+    if start == "uniform":
+        x0 = r * draw(st.floats(0.0, 1.0))
+    elif start in ("0", "r", "-3r"):
+        x0 = {"0": 0.0, "r": r, "-3r": -3.0 * r}[start]
+    else:
+        crossing = draw({"early": st.floats(0.0, 0.01), "late": st.floats(0.99, 1.0),
+                         "below": st.floats(1.01, 3.0)}[start])
+        x0 = r - r * math.exp(crossing * dt / tau)
+    x_sat = draw(st.sampled_from([None, r, 2.0 * r, r * draw(st.floats(0.01, 1.0))]))
+    xi0 = draw(st.sampled_from([0.0, r * dt * draw(st.floats(0.0, 1.0))]))
+    n_steps = draw(st.integers(1, 10**5))
+    return x0, xi0, dt, PlantParams(tau=tau, r=r, alpha=r / 10), x_sat, n_steps
+
+
+@given(clipping_intervals())
+@settings(max_examples=40, deadline=None)
+def test_closed_sums_match_sequential_steps_on_every_branch(case):
+    x, xi = integrate_flow_rk4(*case)
+    x_ref, xi_ref = rk4_sequential(*case)
+    _, _, dt, plant, _, _ = case
+    # rounding sets floors of about eps*r on x, where a crossing at the end
+    # of the interval leaves x near 0, and of about eps*dt*r on xi, where it
+    # barely grows after a crossing late in the interval
+    assert abs(x - x_ref) <= 1e-12 * max(abs(x_ref), plant.r)
+    assert abs(xi - xi_ref) <= 1e-12 * max(abs(xi_ref), dt * plant.r)
+
+
+@given(crossing_intervals())
+@settings(max_examples=40, deadline=None)
+def test_a_billion_steps_agree_with_the_exact_flow(case):
+    x0, xi0, dt, plant, x_sat, _ = case
+    x, xi = integrate_flow_rk4(x0, xi0, dt, plant, x_sat, 10**9)
+    assert abs(x - flow_x(x0, dt, plant)) <= 1e-12 * abs(flow_x(x0, dt, plant))
+    # flow_xi's own rounding reaches about 1e-12 of xi where xi barely grows
+    # after a late crossing, so the floor is the one of the property above
+    xi_exact = flow_xi(x0, xi0, dt, plant, x_sat)
+    assert abs(xi - xi_exact) <= 1e-12 * max(abs(xi_exact), dt * plant.r)
+
+
+@pytest.mark.parametrize("hi, answer", [(1, 1), (2, 1), (2, 2), (7, 3), (1000, 1), (1000, 999),
+                                        (10**30, 12345)])
+def test_first_true_from_any_guess(hi, answer):
+    for guess in (math.nan, -5.0, 0.3, answer - 1.5, answer - 0.5, float(answer), answer + 0.5,
+                  answer + 40.0, hi + 10.0, 1e40):
+        assert _first_true(lambda n: n >= answer, 1, hi, guess) == answer
+
+
+@pytest.mark.parametrize("n_steps", [10**6, 10**12])
+def test_memory_does_not_grow_with_the_step_count(plant, n_steps):
     tracemalloc.start()
     try:
-        integrate_flow_rk4(-1e19, 0.0, 1 / 70, plant, 4e19, 10**6)
+        integrate_flow_rk4(-1e19, 0.0, 1 / 70, plant, 4e19, n_steps)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     # one array over all 10**6 steps' four stages would take 32 MB
     assert peak < 2 * 2**20
+
+
+def test_step_too_small_to_count(nm_tracking):
+    for step in (0.0, 5e-324):
+        with pytest.raises(StepTooCoarse):
+            simulate_numeric(nm_tracking, step)
+
+
+def test_clipped_slow_actuator_needs_fine_steps_at_its_kinks():
+    # the clipped input delta/t_c holds every decision on the threshold tie,
+    # and fixed RK4 steps lose about half a step of clipped input where x
+    # crosses 0 (no event location)
+    shipped = load_scenario(SCENARIO_DIR / "sdm_ic_slow.json")
+    scenario = replace(shipped, x0=0.519 * shipped.plant.r)
+    analytic = simulate(scenario)
+    coarse = compare(analytic, simulate_numeric(scenario, scenario.actuator.t_c / 1000))
+    assert coarse.fire_mismatch is not None and coarse.fire_mismatch.tick == 66
+    assert compare(analytic, simulate_numeric(scenario, scenario.actuator.t_c / 10**6)).passed
 
 
 def test_step_must_divide_tick(nm_tracking):
