@@ -29,7 +29,7 @@ print(f"{'scenario':22s} {'ticks':>5s} {'max rel dx':>12s} {'max rel dxi':>12s} 
 for name, scenario in scenarios.items():
     analytic = ps.simulate(scenario)
     t0 = time.perf_counter()
-    numeric = ps.simulate_numeric(scenario, scenario.actuator.t_c / 1000)
+    numeric = ps.simulate_numeric(scenario, 1000)
     rk4_s = time.perf_counter() - t0
     result = ps.compare(analytic, numeric)
     print(f"{name:22s} {result.n_ticks:5d} {result.max_rel_x:12.3e} "

@@ -189,6 +189,10 @@ class TrajectorySample:
     fired: bool = False
 
 
+# rows per block in the array stages after the tick loop (intra-tick
+# samples, CSV, SVG): their temporaries stay a fixed size however long the run
+CHUNK = 2048
+
 # column name -> dtype, in row order
 _COLUMNS = (("t", np.float64), ("j", np.int64), ("x", np.float64), ("xi", np.float64),
             ("fired", np.bool_))
@@ -228,11 +232,14 @@ class Trajectory:
     def t_end(self) -> float:
         return float(self.t[-1]) if len(self.t) else 0.0
 
-    def timers(self) -> tuple[np.ndarray, np.ndarray]:
+    def timers(self, rows: slice = slice(None),
+               last_fire: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
         """Columns T (time since the last tick, t - j*t_c) and T_p (time
-        since the last pellet, or since t = 0 before the first one)."""
-        last_fire = np.maximum.accumulate(np.where(self.fired, self.t, 0.0))
-        return self.t - self.j * self.actuator.t_c, self.t - last_fire
+        since the last pellet, or since t = 0 before the first one), over
+        `rows`; last_fire is the time of the last pellet before them."""
+        t, fired = self.t[rows], self.fired[rows]
+        fire_t = np.maximum.accumulate(np.where(fired, t, last_fire))
+        return t - self.j[rows] * self.actuator.t_c, t - fire_t
 
     def jump_rows(self) -> np.ndarray:
         """Indices of the post-jump rows; row i - 1 holds the pre-jump state."""

@@ -9,11 +9,13 @@ It runs in two passes.  Pass 1 is the tick recurrence, on boundary states
 only: per tick one scalar flow_x/flow_xi call gives the pre-jump state, and
 tick_jump the post-jump state, which starts the next tick.  Every control
 decision is taken there, on the exact boundary state.  Pass 2 fills the
-intermediate samples, which exist only for output fidelity: one array
-evaluation of flow_x_grid/flow_xi_grid over (tick start x interior offset),
-skipped at one sample per tick.  The interior samples of a partial last
-interval are one more row of that grid, and its end state at t_end is one
-more scalar flow_x/flow_xi call.
+intermediate samples, which exist only for output fidelity: array
+evaluations of flow_x_grid/flow_xi_grid over (tick start x interior offset),
+one per block of about CHUNK samples, skipped at one sample per tick.  The
+interior samples of a partial last interval are one more row of that grid,
+and its end state at t_end is one more scalar flow_x/flow_xi call.  The
+columns are filled in place, so the temporaries of pass 2 stay one block in
+size however long the run.
 
 The array forms are exact, not approximate: every sample is bit-identical
 to the scalar flow_x/flow_xi call at the same start state and offset, as
@@ -30,6 +32,7 @@ import numpy as np
 from . import flow
 from .controllers import tick_jump
 from .core import (
+    CHUNK,
     ActuatorSpec,
     ControllerSpec,
     HybridState,
@@ -139,28 +142,39 @@ def simulate(scenario: Scenario) -> Trajectory:
     x_grid, xi_grid = np.empty((n_ticks + 1, spt + 1)), np.empty((n_ticks + 1, spt + 1))
     x_grid[:, 0], xi_grid[:, 0] = xs, xis
     x_grid[:-1, spt], xi_grid[:-1, spt] = pre_xs, pre_xis
-    if offsets:  # only when samples_per_tick > 1
-        rows = n_ticks + (n_tail > 0)
-        x0s, xi0s = x_grid[:rows, 0], xi_grid[:rows, 0]
-        x_grid[:rows, 1:spt] = flow.flow_x_grid(x0s, offsets, plant)
-        xi_grid[:rows, 1:spt] = flow.flow_xi_grid(x0s, xi0s, offsets, plant, x_sat)
+    del xs, xis, pre_xs, pre_xis  # free the boundary floats before t and j are allocated
+    rows = n_ticks + (n_tail > 0) if offsets else 0  # interior samples only when spt > 1
+    step = max(1, CHUNK // spt)  # tick rows per block: about CHUNK samples
+    for lo in range(0, rows, step):
+        block = slice(lo, min(lo + step, rows))
+        x0s, xi0s = x_grid[block, 0], xi_grid[block, 0]
+        x_grid[block, 1:spt] = flow.flow_x_grid(x0s, offsets, plant)
+        xi_grid[block, 1:spt] = flow.flow_xi_grid(x0s, xi0s, offsets, plant, x_sat)
     if tail:
         x_grid[-1, n_tail + 1] = flow_x(x, remainder, plant)
         xi_grid[-1, n_tail + 1] = flow_xi(x, xi, remainder, plant, x_sat)
-    n_samples = n_ticks * (spt + 1) + 1 + (n_tail + 1 if tail else 0)
+    n_body = n_ticks * (spt + 1) + 1  # the initial row and every tick's rows
+    n_samples = n_body + (n_tail + 1 if tail else 0)
 
-    # per tick: spt flow rows at j = k-1, then the post-jump row at j = k
+    # per tick: spt flow rows at j = k-1, then the post-jump row at j = k,
+    # at t = t_c*(k-1 + m/spt) for m = 1..spt, then t_c*k
+    t, j = np.empty(n_samples), np.empty(n_samples, dtype=np.int64)
+    t[0], j[0] = 0.0, 0
+    t_ticks = t[1:n_body].reshape(n_ticks, spt + 1)
+    j_ticks = j[1:n_body].reshape(n_ticks, spt + 1)
     ticks = np.arange(n_ticks)[:, None]
-    t_grid = np.hstack((t_c * (ticks + np.arange(1, spt + 1) / spt), t_c * (ticks + 1)))
-    j_grid = np.hstack((np.repeat(ticks, spt, axis=1), ticks + 1))
+    np.add(ticks, np.arange(1, spt + 1) / spt, out=t_ticks[:, :spt])
+    t_ticks[:, spt:] = j_ticks[:, spt:] = ticks + 1
+    t_ticks *= t_c
+    j_ticks[:, :spt] = ticks
     t_tail = [t_c * (n_ticks + m / spt) for m in range(1, n_tail + 1)]
-    t_tail += [scenario.t_end] if tail else []
+    t[n_body:] = t_tail + [scenario.t_end] if tail else t_tail
+    j[n_body:] = n_ticks
 
     fired = np.zeros(n_samples, dtype=bool)
     fired[np.array(fire_ticks, dtype=np.int64) * (spt + 1)] = True
     return Trajectory(
-        t=np.concatenate(([0.0], t_grid.ravel(), t_tail)),
-        j=np.concatenate(([0], j_grid.ravel(), [n_ticks] * len(t_tail))),
+        t=t, j=j,
         x=x_grid.ravel()[:n_samples],
         xi=xi_grid.ravel()[:n_samples],
         fired=fired,

@@ -136,9 +136,15 @@ def _snap_grid(t: np.ndarray, duration: np.ndarray, tau: float) -> np.ndarray:
     return np.where(t <= eps, 0.0, np.where(t >= duration - eps, duration, t))
 
 
-def _positive_increment_grid(x_a: np.ndarray, span: np.ndarray, plant: PlantParams) -> np.ndarray:
+def _positive_increment_grid(x_a: np.ndarray, span: np.ndarray, used: np.ndarray,
+                             plant: PlantParams) -> np.ndarray:
+    """_positive_increment at the lanes where `used`, and 0.0 at the others,
+    whose increment the caller discards: expm1 runs on the used lanes only."""
+    x_a, span = np.broadcast_to(x_a, used.shape)[used], span[used]
     inc = plant.r * span + plant.tau * (plant.r - x_a) * _mapped(math.expm1, -span / plant.tau)
-    return np.where(inc > 0.0, inc, 0.0)  # max(0.0, inc)
+    out = np.zeros(used.shape)
+    out[used] = np.where(inc > 0.0, inc, 0.0)  # max(0.0, inc)
+    return out
 
 
 def flow_x_grid(x0: np.ndarray, dts: Sequence[float], plant: PlantParams) -> np.ndarray:
@@ -175,11 +181,12 @@ def flow_xi_grid(
 
     span = dt - t_pos
     if x_sat is None:
-        return np.where(negative, xi0, xi0 + _positive_increment_grid(x_pos, span, plant))
+        inc = _positive_increment_grid(x_pos, span, ~negative, plant)
+        return np.where(negative, xi0, xi0 + inc)
     saturated = x_pos >= x_sat  # at x_sat from the piece start
     if x_sat >= r:  # never reached from below
-        return np.select([negative, saturated], [xi0, xi0 + x_sat * span],
-                         xi0 + _positive_increment_grid(x_pos, span, plant))
+        inc = _positive_increment_grid(x_pos, span, ~(negative | saturated), plant)
+        return np.select([negative, saturated], [xi0, xi0 + x_sat * span], xi0 + inc)
 
     t_sat = np.zeros_like(x_pos)
     t_sat[~saturated] = tau * _mapped(math.log, (r - x_pos[~saturated]) / (r - x_sat))
@@ -187,6 +194,7 @@ def flow_xi_grid(
     clipped = saturated | (ts <= t_pos)
     unclipped = ts >= dt  # x_sat not reached within dt
     kink = ~(negative | clipped | unclipped)
-    inc = _positive_increment_grid(x_pos, np.where(kink, ts, dt) - t_pos, plant)
+    span_inc = np.where(kink, ts, dt) - t_pos  # up to the kink where x_sat is reached
+    inc = _positive_increment_grid(x_pos, span_inc, ~(negative | clipped), plant)
     return np.select([negative, clipped, unclipped], [xi0, xi0 + x_sat * span, xi0 + inc],
                      xi0 + inc + x_sat * (dt - ts))

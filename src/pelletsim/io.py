@@ -16,6 +16,7 @@ import csv
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -176,31 +177,29 @@ def load_scenario(path: str | Path) -> Scenario:
 
 
 _CSV_HEADER = b"t,j,n_e,x,xi,T,T_p,fired\r\n"
+_CSV_ROW = "%.9e,%d,%.9e,%.9e,%.9e,%.9e,%.9e,%d\r\n"
 
 
 def write_trajectory_csv(traj: Trajectory, path: str | Path) -> None:
     """Columns t,j,n_e,x,xi,T,T_p,fired; floats as %.9e, fired as 0/1, and
     lines ended by \\r\\n, as csv.writer ends them.  Each field is byte-equal
-    to Python's `%` formatting of its value."""
+    to Python's `%` formatting of its value.  Written a block of CHUNK rows
+    at a time, n_e, T and T_p derived per block."""
     from . import numfmt  # on first use: runs that write no artifacts never load it
 
-    T, T_p = traj.timers()
-    columns = (traj.t, traj.j, traj.plant.r - traj.x, traj.x, traj.xi, T, T_p, traj.fired)
+    last_fire = 0.0  # the time of the last pellet before the block
     with open(path, "wb") as fh:
         fh.write(_CSV_HEADER)
-        fh.writelines(numfmt.rows("%.9e,%d,%.9e,%.9e,%.9e,%.9e,%.9e,%d\r\n", columns))
+        for lo in range(0, len(traj), numfmt.CHUNK):
+            rows = slice(lo, lo + numfmt.CHUNK)
+            t, x, fired = traj.t[rows], traj.x[rows], traj.fired[rows]
+            T, T_p = traj.timers(rows, last_fire)
+            columns = (t, traj.j[rows], traj.plant.r - x, x, traj.xi[rows], T, T_p, fired)
+            fh.writelines(numfmt.rows(_CSV_ROW, columns))
+            last_fire = float(np.max(t, where=fired, initial=last_fire))
 
 
 # --- minimal SVG rendering -------------------------------------------------
-
-def _polyline(px: numfmt.Formatted, py: np.ndarray, colour: str, dash: str = "") -> str:
-    from . import numfmt
-
-    coords = b"".join(numfmt.rows("%.2f,%.2f ", (px, py))).decode("ascii")
-    dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
-    return (f'<polyline fill="none" stroke="{colour}" stroke-width="1.2"{dash_attr} '
-            f'points="{coords[:-1]}"/>')
-
 
 class _Panel:
     """Maps (t, y) columns onto a pixel rectangle."""
@@ -229,47 +228,75 @@ class _Panel:
         )
 
 
+def _write_polyline(fh, px: numfmt.Formatted, py: Callable[[slice], np.ndarray],
+                    colour: str, dash: str = "") -> None:
+    """One polyline through (px, py(rows)), written a block of rows at a time."""
+    from . import numfmt
+
+    dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
+    fh.write(f'<polyline fill="none" stroke="{colour}" stroke-width="1.2"{dash_attr} '
+             'points="'.encode("ascii"))
+    for lo in range(0, len(px), numfmt.CHUNK):
+        rows = slice(lo, lo + numfmt.CHUNK)
+        for block in numfmt.rows(" %.2f,%.2f", (px[rows], py(rows))):
+            fh.write(block if lo else block[1:])  # no space before the first point
+    fh.write(b'"/>\n')
+
+
 def render_svg(traj: Trajectory, cert: Certificate, path: str | Path) -> None:
     """Two stacked panels: error x and density n_e against time, with dashed
-    certified bounds and pellet-fire markers.  Deliberately minimal."""
+    certified bounds and pellet-fire markers.  Deliberately minimal.  Every
+    series is computed and written a block of CHUNK rows at a time."""
     from . import numfmt
-    ts, xs = traj.t, traj.x
-    nes = traj.plant.r - xs
+
+    ts, xs, r = traj.t, traj.x, traj.plant.r
     t_range = (0.0, traj.t_end)
 
-    overlays_x: list[tuple[np.ndarray, str]] = []
+    # each overlay: a bound, as a float or a function of time, and its colour
+    overlays_x: list[tuple[float | Callable[[np.ndarray], np.ndarray | float], str]] = []
     if cert.feasible and cert.bound_interval is not None:
         lower, upper = cert.bound_interval
+        colour = "#8e44ad"
         if cert.bound_scope == "trajectory":
-            upper = bounds.envelope(ts, float(xs[0]), traj.plant)[1]
-            colour = "#c0392b"
-        else:
-            colour = "#8e44ad"
-        for series in (upper, lower):
-            overlays_x.append((np.broadcast_to(series, ts.shape), colour))
+            x0, colour = float(xs[0]), "#c0392b"
+            upper = lambda t: bounds.envelope(t, x0, traj.plant)[1]
+        overlays_x += [(upper, colour), (lower, colour)]
 
-    x_all = np.concatenate([xs] + [series for series, _ in overlays_x])
-    panel_x = _Panel(60, 20, 800, 250, t_range, (float(x_all.min()), float(x_all.max())))
-    panel_n = _Panel(60, 310, 800, 250, t_range, (float(nes.min()), float(nes.max())))
+    def over(bound, rows: slice) -> np.ndarray:
+        """A bound at a block of rows."""
+        t = ts[rows]
+        return np.broadcast_to(bound(t) if callable(bound) else bound, t.shape)
+
+    x_min, x_max = float(xs.min()), float(xs.max())
+    for bound, _ in overlays_x:
+        for lo in range(0, len(traj), numfmt.CHUNK):
+            values = over(bound, slice(lo, lo + numfmt.CHUNK))
+            x_min, x_max = min(x_min, float(values.min())), max(x_max, float(values.max()))
+    panel_x = _Panel(60, 20, 800, 250, t_range, (x_min, x_max))
+    # r - x is monotone in x, rounding included: its extremes are at those of x
+    panel_n = _Panel(60, 310, 800, 250, t_range, (r - float(xs.max()), r - float(xs.min())))
 
     # both panels share x0, width and t_range: one time column, formatted once
     px = numfmt.formatted("%.2f", panel_x.px(ts))
-    parts = [
-        '<svg xmlns="http://www.w3.org/2000/svg" width="900" height="600" '
-        'viewBox="0 0 900 600">',
-        '<rect width="900" height="600" fill="white"/>',
-        panel_x.frame("density error x [particles/m^3] vs t [s]"),
-        panel_n.frame("electron density n_e [particles/m^3] vs t [s]"),
-        _polyline(px, panel_x.py(xs), "#1f77b4"),
-        _polyline(px, panel_n.py(nes), "#2ca02c"),
-    ]
-    for series, colour in overlays_x:
-        parts.append(_polyline(px, panel_x.py(series), colour, dash="6,4"))
-    y1, y2 = panel_x.y0 + panel_x.h - 8, panel_x.y0 + panel_x.h
-    marker = f'<line x1="%.2f" y1="{y1}" x2="%.2f" y2="{y2}" stroke="#e67e22" stroke-width="1"/>\n'
-    fires = px[traj.fired]
-    parts.append(b"".join(numfmt.rows(marker, (fires, fires))).decode("ascii") + "</svg>")
-    Path(path).write_text("\n".join(parts), encoding="utf-8")
+    with open(path, "wb") as fh:
+        fh.write("\n".join([
+            '<svg xmlns="http://www.w3.org/2000/svg" width="900" height="600" '
+            'viewBox="0 0 900 600">',
+            '<rect width="900" height="600" fill="white"/>',
+            panel_x.frame("density error x [particles/m^3] vs t [s]"),
+            panel_n.frame("electron density n_e [particles/m^3] vs t [s]"),
+            "",
+        ]).encode("utf-8"))
+        _write_polyline(fh, px, lambda rows: panel_x.py(xs[rows]), "#1f77b4")
+        _write_polyline(fh, px, lambda rows: panel_n.py(r - xs[rows]), "#2ca02c")
+        for bound, colour in overlays_x:
+            _write_polyline(fh, px, lambda rows: panel_x.py(over(bound, rows)), colour, dash="6,4")
+        y1, y2 = panel_x.y0 + panel_x.h - 8, panel_x.y0 + panel_x.h
+        marker = (f'<line x1="%.2f" y1="{y1}" x2="%.2f" y2="{y2}" stroke="#e67e22" '
+                  'stroke-width="1"/>\n')
+        fires = px[traj.fired]
+        fh.writelines(numfmt.rows(marker, (fires, fires)))
+        fh.write(b"</svg>")
 
 
 # --- run / sweep -----------------------------------------------------------

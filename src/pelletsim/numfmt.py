@@ -23,13 +23,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from types import SimpleNamespace
 from typing import Iterator, Sequence
 
 import numpy as np
 
-CHUNK = 2048  # rows per block: every temporary stays well under 1 MiB
+from .core import CHUNK  # rows per block: every temporary stays well under 1 MiB
 MARGIN = 2.0**-16  # wider than half an ulp of any scaled value on a fast path
 
 _CONVERSION = r"%(?:\.9e|\.2f|d)"
@@ -177,10 +177,13 @@ class Formatted:
 
 def formatted(conv: str, column: np.ndarray) -> Formatted:
     """`column` under one conversion, formatted once for reuse."""
-    blocks = [_field(conv, column[lo:lo + CHUNK]) for lo in range(0, len(column), CHUNK)]
-    words = np.zeros((len(column), max(map(len, blocks), default=0)), _WORD)
-    for lo, block in zip(range(0, len(column), CHUNK), blocks):
-        # right-aligned: leading pad words are dropped with the other pad
+    words = np.zeros((len(column), 0), _WORD)
+    for lo in range(0, len(column), CHUNK):
+        block = _field(conv, column[lo:lo + CHUNK])
+        # right-aligned: leading pad words are dropped with the other pad, so
+        # a wider block widens the rows before it on the left
+        if len(block) > words.shape[1]:
+            words = np.pad(words, ((0, 0), (len(block) - words.shape[1], 0)))
         words[lo:lo + CHUNK, words.shape[1] - len(block):] = np.stack(block, axis=1)
     return Formatted(conv, words)
 
@@ -207,19 +210,27 @@ def _words(data: bytes) -> np.ndarray:
     return np.frombuffer(data.ljust(-(-len(data) // 4) * 4, b"\0"), _WORD)
 
 
+@lru_cache(maxsize=16)
+def _layout(fmt: str) -> tuple[tuple[str, ...], tuple[tuple[np.ndarray, ...], ...]]:
+    """The conversions of a row format, and the literal text around them as
+    words; parsed once per format, as callers write a file block by block."""
+    convs = re.findall(_CONVERSION, fmt)
+    literals = re.split(_CONVERSION, fmt)
+    if "%" in "".join(literals):
+        raise ValueError(f"{fmt!r} must hold one of {_CONVERSION} per column and no other '%'")
+    return tuple(convs), tuple(tuple(_words(text.encode("ascii"))) for text in literals)
+
+
 def rows(fmt: str, columns: Sequence[np.ndarray | Formatted]) -> Iterator[bytes]:
     """The bytes of ``"".join(fmt % row for row in zip(*columns))``, one
     bytes object per block of CHUNK rows.  `fmt` holds one "%.9e", "%.2f"
     or "%d" per column, and no other '%'.  A column may be given already
     `formatted` under its conversion."""
-    convs = re.findall(_CONVERSION, fmt)
-    literals = re.split(_CONVERSION, fmt)
-    if len(convs) != len(columns) or "%" in "".join(literals):
-        raise ValueError(f"{fmt!r} must hold one of {_CONVERSION} per column "
-                         "and no other '%'")
+    convs, literals = _layout(fmt)
+    if len(convs) != len(columns):
+        raise ValueError(f"{fmt!r} holds {len(convs)} conversions for {len(columns)} columns")
     if len({len(column) for column in columns}) > 1:
         raise ValueError("columns differ in length")
-    literals = [list(_words(text.encode("ascii"))) for text in literals]
     n = len(columns[0]) if columns else 0
     for lo in range(0, n, CHUNK):
         words = list(literals[0])

@@ -200,26 +200,19 @@ def integrate_flow_rk4(
     return x_end, xi0 + h_total / 6.0
 
 
-def _substeps_per_tick(t_c: float, step: float) -> int:
-    if not (step > 0.0 and t_c / step < math.inf):
-        raise StepTooCoarse(f"step={step!r} is too small to count the substeps of t_c={t_c!r}")
-    n = round(t_c / step)
-    if n < 1 or abs(n * step - t_c) > 1e-9 * t_c:
-        raise StepTooCoarse(f"step={step!r} does not divide the tick period t_c={t_c!r}")
-    if n < MIN_SUBSTEPS:
-        raise StepTooCoarse(f"need at least {MIN_SUBSTEPS} substeps per tick, got {n}")
-    return n
-
-
-def simulate_numeric(scenario: Scenario, step: float) -> Trajectory:
-    """Numerically integrated counterpart of engine.simulate.
+def simulate_numeric(scenario: Scenario, n_steps: int) -> Trajectory:
+    """Numerically integrated counterpart of engine.simulate, at n_steps RK4
+    steps per tick.
 
     Records the initial state and the pre/post states of every tick (the
     only points the comparison needs); intermediate substeps are not kept.
     """
     plant, actuator, controller = scenario.plant, scenario.actuator, scenario.controller
     t_c = actuator.t_c
-    n_sub = _substeps_per_tick(t_c, step)
+    if n_steps < MIN_SUBSTEPS:
+        raise StepTooCoarse(f"need at least {MIN_SUBSTEPS} substeps per tick, got {n_steps}")
+    if not t_c / n_steps > 0.0:
+        raise StepTooCoarse(f"{n_steps} substeps of t_c={t_c!r} are too short for a float step")
     x_sat = scenario.x_sat
 
     x, xi = scenario.x0, scenario.xi0
@@ -228,7 +221,7 @@ def simulate_numeric(scenario: Scenario, step: float) -> Trajectory:
     since_fire = 0  # whole ticks since the last pellet, or since t = 0
 
     for k in range(1, n_ticks + 1):
-        x, xi = integrate_flow_rk4(x, xi, t_c, plant, x_sat, n_sub)
+        x, xi = integrate_flow_rk4(x, xi, t_c, plant, x_sat, n_steps)
         xi = max(0.0, xi)
         since_fire += 1
         outcome = tick_jump(HybridState(x, xi), since_fire, plant, controller, actuator)
@@ -242,7 +235,7 @@ def simulate_numeric(scenario: Scenario, step: float) -> Trajectory:
             since_fire = 0
 
     if remainder > 0.0:
-        n_tail = max(1, round(n_sub * remainder / t_c))
+        n_tail = max(1, round(n_steps * remainder / t_c))
         x, xi = integrate_flow_rk4(x, xi, remainder, plant, x_sat, n_tail)
         ts.append(scenario.t_end)
         js.append(n_ticks)

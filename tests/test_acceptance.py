@@ -132,7 +132,7 @@ def test_criterion_6_multi_subtraction_limit_cycle(jm_tracking):
 def test_criterion_7_oracle_equivalence(nm_tracking, ic_fast, jm_tracking):
     for scenario in (nm_tracking, ic_fast, jm_tracking):
         analytic = simulate(scenario)
-        numeric = simulate_numeric(scenario, scenario.actuator.t_c / 1000)
+        numeric = simulate_numeric(scenario, 1000)
         result = compare(analytic, numeric)
         assert result.max_rel_x <= 1e-6, scenario.controller.variant
         assert result.max_rel_xi <= 1e-6, scenario.controller.variant

@@ -142,6 +142,21 @@ def test_compare_oracle_at_10_to_the_30_steps_per_tick(capsys):
     assert main(["compare-oracle", NM, "--oracle-steps", "1" + "0" * 30]) == 0
 
 
+def test_oracle_steps_reach_the_integrator_exactly(monkeypatch, capsys):
+    # 2**53 + 1 is no float: a step t_c / N would integrate 2**53 steps
+    from pelletsim import oracle
+
+    n_steps, rk4 = [], oracle.integrate_flow_rk4
+
+    def spy(*args):
+        n_steps.append(args[5])
+        return rk4(*args)
+
+    monkeypatch.setattr(oracle, "integrate_flow_rk4", spy)
+    assert main(["compare-oracle", NM, "--oracle-steps", "9007199254740993"]) == 0
+    assert n_steps and set(n_steps) == {9007199254740993}
+
+
 def test_no_option_carries_over_between_calls(tmp_path, capsys):
     # main builds its parser once per process
     assert main(["compare-oracle", NM, "--rtol", "0"]) == 1

@@ -90,6 +90,20 @@ def test_array_forms_equal_scalar_closed_forms(grid):
         assert (bits(xi[i]) == bits([flow_xi(a, b, dt, plant, x_sat) for dt in offsets])).all()
 
 
+def test_expm1_runs_only_on_the_lanes_whose_increment_is_kept(monkeypatch):
+    from pelletsim import flow
+
+    mapped, real = [], flow._mapped
+    monkeypatch.setattr(flow, "_mapped", lambda fn, a: mapped.append((fn, a.size)) or real(fn, a))
+    plant = PlantParams(tau=0.1, r=5e19, alpha=1e19)
+    # x stays negative for tau*log1p(0.8) = 59 ms; x_sat = 1e19 clips from the start
+    x0 = np.array([-4e19, 2e19, 1e18])
+    xi = flow_xi_grid(x0, np.zeros(3), [0.001, 0.002], plant, 1e19)
+    assert [n for fn, n in mapped if fn is math.expm1] == [2]
+    assert (bits(xi) == bits([[flow_xi(a, 0.0, dt, plant, 1e19) for dt in (0.001, 0.002)]
+                              for a in x0])).all()
+
+
 def scalar_samples(scenario):
     """x and xi with one flow_x/flow_xi call per sample, in time order."""
     plant, t_c, spt, x_sat = (scenario.plant, scenario.actuator.t_c,

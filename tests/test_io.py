@@ -1,4 +1,6 @@
 import json
+import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -137,6 +139,26 @@ class TestArtifacts:
         assert svg.count("<polyline") >= 3  # x, n_e, and at least one bound
         assert "stroke-dasharray" in svg
         assert "<line" in svg  # pellet markers
+
+
+    # sdm_windup draws no overlays; nm_gas_gun has 2 samples a tick, so
+    # most of its rows are boundary states of the tick loop
+    @pytest.mark.parametrize("name", ["nm_tracking", "sdm_windup", "nm_gas_gun"])
+    def test_peak_memory_is_the_columns_plus_fixed_blocks(self, tmp_path, name):
+        shipped = load_scenario(SCENARIO_DIR / f"{name}.json")
+        t_c, spt = shipped.actuator.t_c, shipped.samples_per_tick
+        run_scenario(shipped, tmp_path / "warm", svg=True)  # builds the formatting tables
+        scenario = replace(shipped, t_end=t_c * (200_000 // (spt + 1)))
+        tracemalloc.start()
+        try:
+            result = run_scenario(scenario, tmp_path, svg=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the retained columns t, j, x, xi and fired take 33 B a sample;
+        # temporaries sized by the run, not by a block, would pass 100
+        assert len(result.trajectory) >= 199_000
+        assert peak / len(result.trajectory) <= 100
 
 
 class TestSweep:
