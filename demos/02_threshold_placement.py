@@ -31,7 +31,7 @@ for label, delta in (("delta at top of range", 1.569e16), ("delta near zero", 1.
     m = rep.metrics
 
     print(f"{label} (delta={delta:.3e})")
-    print(f"  envelope check: {rep.envelope_ok}, pellets: {m.pellet_count}, "
+    print(f"  envelope check: {rep.verdicts['envelope']}, pellets: {m.pellet_count}, "
           f"settled by t={m.settling_time:.3f}s")
     print(f"  steady error band: [{m.min_x_steady:.3e}, {m.max_x_steady:.3e}], "
           f"mean {m.mean_x_steady:.3e}")

@@ -29,7 +29,7 @@ for label, variant, actuator, delta in runs:
     rep = ps.report(traj, cert)
     m = rep.metrics
     print(f"{label}: certificate {'feasible' if cert.feasible else 'withheld'}")
-    print(f"  envelope: {rep.envelope_ok}   wind-up: {rep.windup_detected}")
+    print(f"  envelope: {rep.verdicts['envelope']}   wind-up: {rep.windup_detected}")
     print(f"  steady error band [{m.min_x_steady:.3e}, {m.max_x_steady:.3e}]")
     if variant is ps.Variant.SDM_JM:
         multiples = traj.xi[traj.fired] / delta

@@ -35,6 +35,6 @@ m = rep.metrics
 print(f"steady error band [{m.min_x_steady:.3e}, {m.max_x_steady:.3e}]")
 print(f"  exceeds alpha: {m.max_x_steady > plant.alpha}  "
       f"(the basic bound really is lost)")
-print(f"  within widened bound: {rep.envelope_ok}")
+print(f"  within widened bound: {rep.verdicts['envelope']}")
 render_svg(traj, cert, OUT / "slow_actuator_clipping.svg")
 print(f"plot: {OUT / 'slow_actuator_clipping.svg'}")

@@ -29,7 +29,7 @@ from .core import (
     Variant,
     validate,
 )
-from .flow import flow_x
+from .flow import flow_x, flow_x_grid
 
 # a clipping level below this fraction of alpha is treated as a near-zero
 # threshold, which is what the widened slow-actuator bound is proven for
@@ -80,7 +80,7 @@ def envelope(t, x0: float, plant: PlantParams):
         upper = plant.gamma ** (t / plant.tau_d - 1.0) * x0 + plant.alpha
         return (-plant.alpha, upper)
     if np.ndim(t):
-        climb = np.array([flow_x(x0, ti, plant) for ti in np.asarray(t).tolist()])
+        climb = flow_x_grid(np.array([x0]), t, plant)[0]
         return (np.minimum(climb, -plant.alpha), plant.alpha)
     return (min(flow_x(x0, t, plant), -plant.alpha), plant.alpha)
 
@@ -101,72 +101,45 @@ def certify(
     """
     validate(plant, actuator, controller)
     l = actuator.prep_ticks()
-    tau_d, gamma = plant.tau_d, plant.gamma
-    t_c, delta = actuator.t_c, controller.delta
-    rmax = r_max(plant, t_c, l)
-    ultimate = (-plant.alpha, plant.alpha)
+    variant, t_c, delta = controller.variant, actuator.t_c, controller.delta
+    tcm, dm = tc_max(plant, variant, l), delta_max(plant, t_c, variant, l)
+    bound, scope, reason = (-plant.alpha, plant.alpha), "trajectory", ""
 
-    if controller.variant is Variant.SDM:
-        return Certificate(
-            tc_max=tc_max(plant, Variant.SDM, l),
-            delta_max=delta_max(plant, t_c, Variant.SDM, l),
-            tau_d=tau_d,
-            gamma=gamma,
-            r_max=rmax,
-            l=l,
-            feasible=False,
-            nonstandard=actuator.prep_enabled and l > 1,
-            reason="plain sigma-delta is subject to integrator wind-up; no bound is guaranteed",
-        )
-
-    if controller.variant is Variant.SDM_IC:
-        nonstandard = actuator.prep_enabled and l > 1
-        tcm = tc_max(plant, Variant.SDM_IC)
-        dm = delta_max(plant, t_c, Variant.SDM_IC)
-        if nonstandard:
-            return Certificate(
-                tc_max=tcm, delta_max=dm, tau_d=tau_d, gamma=gamma, r_max=rmax, l=l,
-                feasible=False, nonstandard=True,
-                reason="input clipping combined with a multi-tick preparation time is "
-                "not a certified configuration",
-            )
-        if t_c < tcm and 0.0 < delta <= dm:
-            return Certificate(
-                tc_max=tcm, delta_max=dm, tau_d=tau_d, gamma=gamma, r_max=rmax, l=l,
-                feasible=True, bound_interval=ultimate, bound_scope="trajectory",
-            )
+    if variant is Variant.SDM:
+        feasible = False
+        reason = "plain sigma-delta is subject to integrator wind-up; no bound is guaranteed"
+    elif variant is not Variant.SDM_IC:
+        # reset family: NM and SDM_JM share identical conditions and bounds
+        prep_ok = (not actuator.prep_enabled) or actuator.t_prep <= plant.tau_d
+        feasible = prep_ok and t_c <= tcm and 0.0 < delta <= dm
+        if not prep_ok:
+            reason = "preparation time exceeds the certified dwell bound"
+        elif not feasible:
+            reason = "tick period or threshold outside the certified range"
+    elif l > 1:
+        feasible = False
+        reason = ("input clipping combined with a multi-tick preparation time is "
+                  "not a certified configuration")
+    elif t_c < tcm and 0.0 < delta <= dm:
+        feasible = True
+    else:
         # widened steady-state bound: actuator as slow as the reset family
         # allows, threshold small enough that clipping kicks in immediately
         dm_widened = _NEAR_ZERO_SAT * plant.alpha * t_c
-        if t_c <= tau_d and 0.0 < delta <= dm_widened:
-            return Certificate(
-                tc_max=tau_d, delta_max=dm_widened, tau_d=tau_d, gamma=gamma,
-                r_max=rmax, l=l, feasible=True,
-                bound_interval=(-plant.alpha, ub_ic_slow(plant)),
-                bound_scope="steady_state",
-                reason="slow actuator with near-zero threshold: only the widened "
-                "steady-state bound is certified",
-            )
-        return Certificate(
-            tc_max=tcm, delta_max=dm, tau_d=tau_d, gamma=gamma, r_max=rmax, l=l,
-            feasible=False,
-            reason="tick period or threshold outside the certified range for input clipping",
-        )
+        feasible = t_c <= plant.tau_d and 0.0 < delta <= dm_widened
+        if feasible:
+            tcm, dm = plant.tau_d, dm_widened
+            bound, scope = (-plant.alpha, ub_ic_slow(plant)), "steady_state"
+            reason = ("slow actuator with near-zero threshold: only the widened "
+                      "steady-state bound is certified")
+        else:
+            reason = "tick period or threshold outside the certified range for input clipping"
 
-    # reset family: NM and SDM_JM share identical conditions and bounds
-    tcm = tc_max(plant, controller.variant, l)
-    dm = delta_max(plant, t_c, controller.variant, l)
-    prep_ok = (not actuator.prep_enabled) or actuator.t_prep <= tau_d
-    feasible = prep_ok and t_c <= tcm and 0.0 < delta <= dm
-    reason = ""
-    if not prep_ok:
-        reason = "preparation time exceeds the certified dwell bound"
-    elif not feasible:
-        reason = "tick period or threshold outside the certified range"
     return Certificate(
-        tc_max=tcm, delta_max=dm, tau_d=tau_d, gamma=gamma, r_max=rmax, l=l,
-        feasible=feasible,
-        bound_interval=ultimate if feasible else None,
-        bound_scope="trajectory" if feasible else "none",
+        tc_max=tcm, delta_max=dm, tau_d=plant.tau_d, gamma=plant.gamma,
+        r_max=r_max(plant, t_c, l), l=l, feasible=feasible,
+        bound_interval=bound if feasible else None,
+        bound_scope=scope if feasible else "none",
         reason=reason,
+        nonstandard=l > 1 and variant in (Variant.SDM, Variant.SDM_IC),
     )

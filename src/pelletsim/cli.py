@@ -14,7 +14,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 from . import bounds, io, oracle, verify
 from .core import ValidationError
@@ -29,9 +29,9 @@ def _load(path: str, samples_per_tick: int | None) -> Scenario:
 
 
 def _cmd_certify(args) -> int:
-    scenario = _load(args.scenario, None)
+    scenario = io.load_scenario(args.scenario)
     cert = bounds.certify(scenario.plant, scenario.actuator, scenario.controller)
-    print(json.dumps(cert.as_dict(), indent=2))
+    print(json.dumps(asdict(cert), indent=2))
     return 0
 
 
@@ -46,13 +46,13 @@ def _cmd_simulate(args) -> int:
 def _cmd_verify(args) -> int:
     scenario = _load(args.scenario, args.samples_per_tick)
     result = io.run_scenario(scenario, outdir=args.outdir, svg=args.svg)
-    rep = result.report.as_dict()
+    rep = result.report
     print(f"certificate: {'feasible' if result.certificate.feasible else 'infeasible'}"
           + (f" ({result.certificate.reason})" if result.certificate.reason else ""))
-    for name in ("envelope", "zeno", "dwell", "contraction"):
-        print(f"{name}: {rep[name]}")
-    print(f"windup_detected: {rep['windup_detected']}")
-    m = result.report.metrics
+    for name in rep.verdicts:
+        print(f"{name}: {rep.status(name)}")
+    print(f"windup_detected: {rep.windup_detected}")
+    m = rep.metrics
     print(f"pellets: {m.pellet_count}  steady x in [{m.min_x_steady:.4e}, {m.max_x_steady:.4e}]"
           f"  mean {m.mean_x_steady:.4e}")
     return 0 if result.passed else 1
@@ -71,7 +71,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_compare_oracle(args) -> int:
-    scenario = _load(args.scenario, args.samples_per_tick)
+    # the comparison reads tick boundaries only: no intra-tick samples
+    scenario = _load(args.scenario, 1)
     analytic = simulate(scenario)
     numeric = oracle.simulate_numeric(scenario, args.oracle_steps)
     result = verify.compare(analytic, numeric, rtol=args.rtol)
@@ -110,14 +111,14 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, outdir=True):
+    def add_common(p, runs=True):
         p.add_argument("scenario", help="scenario JSON file")
-        p.add_argument("--samples-per-tick", type=int, default=None, metavar="N")
-        if outdir:
+        if runs:
+            p.add_argument("--samples-per-tick", type=int, default=None, metavar="N")
             p.add_argument("-o", "--outdir", default="out")
             p.add_argument("--svg", action="store_true", help="also render plot.svg")
 
-    add_common(sub.add_parser("certify", help="print the tuning certificate"), outdir=False)
+    add_common(sub.add_parser("certify", help="print the tuning certificate"), runs=False)
     add_common(sub.add_parser("simulate", help="run and write artifacts"))
     add_common(sub.add_parser("verify", help="run, check, and report"))
     p_sweep = sub.add_parser("sweep", help="rerun over a parameter axis")
@@ -125,7 +126,7 @@ def _parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--axis", choices=("delta", "t_c", "r"), required=True)
     p_sweep.add_argument("--values", required=True, help="comma-separated numbers")
     p_cmp = sub.add_parser("compare-oracle", help="cross-check against RK4 integration")
-    add_common(p_cmp, outdir=False)
+    add_common(p_cmp, runs=False)
     p_cmp.add_argument("--oracle-steps", type=_step_count, default=1000, metavar="N")
     p_cmp.add_argument("--rtol", type=_tolerance, default=1e-6)
     return parser

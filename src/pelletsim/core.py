@@ -262,10 +262,13 @@ class Certificate:
 
     ``tc_max`` and ``delta_max`` are the limits backing *this* certificate
     (for the widened slow-actuator result they are the widened limits), so
-    feasible == (t_c within tc_max) and (0 < delta <= delta_max) always
-    reads consistently.  ``bound_scope`` records what the bound interval is
-    claimed over: the whole trajectory via the decaying envelope, or only
-    the steady state.
+    a feasible certificate always has t_c <= tc_max (strictly below it for
+    input clipping over the trajectory) and 0 < delta <= delta_max.  The
+    converse does not hold: plain SDM is never feasible, nor is input
+    clipping behind a multi-tick preparation gate, nor the reset family
+    when t_prep exceeds tau_d.  ``bound_scope`` records what the bound
+    interval is claimed over: the whole trajectory via the decaying
+    envelope, or only the steady state.
     """
 
     tc_max: float
@@ -279,21 +282,6 @@ class Certificate:
     bound_scope: str = "none"  # "trajectory" | "steady_state" | "none"
     reason: str = ""
     nonstandard: bool = False
-
-    def as_dict(self) -> dict:
-        return {
-            "tc_max": self.tc_max,
-            "delta_max": self.delta_max,
-            "tau_d": self.tau_d,
-            "gamma": self.gamma,
-            "r_max": self.r_max,
-            "l": self.l,
-            "feasible": self.feasible,
-            "bound_interval": list(self.bound_interval) if self.bound_interval else None,
-            "bound_scope": self.bound_scope,
-            "reason": self.reason,
-            "nonstandard": self.nonstandard,
-        }
 
 
 def validate(plant: PlantParams, actuator: ActuatorSpec, controller: ControllerSpec) -> None:

@@ -13,9 +13,9 @@ intermediate samples, which exist only for output fidelity: array
 evaluations of flow_x_grid/flow_xi_grid over (tick start x interior offset),
 one per block of about CHUNK samples, skipped at one sample per tick.  The
 interior samples of a partial last interval are one more row of that grid,
-and its end state at t_end is one more scalar flow_x/flow_xi call.  The
-columns are filled in place, so the temporaries of pass 2 stay one block in
-size however long the run.
+and its end state at t_end is one more scalar flow_x/flow_xi call.  Both
+passes fill the columns in place, so pass 1 keeps no per-tick list and the
+temporaries of pass 2 stay one block in size however long the run.
 
 The array forms are exact, not approximate: every sample is bit-identical
 to the scalar flow_x/flow_xi call at the same start state and offset, as
@@ -113,21 +113,29 @@ def simulate(scenario: Scenario) -> Trajectory:
     flow_x, flow_xi = flow.flow_x, flow.flow_xi
     n_ticks, remainder = scenario.horizon_ticks()
 
-    # pass 1: the tick recurrence on boundary states; the pre-jump state is
-    # the flow over t_c from the tick start (t_c*(spt/spt) == t_c)
+    # row i of the grids holds tick start i, its interior samples and the
+    # pre-jump state of tick i+1, so the rows read in order are the samples
+    x_grid, xi_grid = np.empty((n_ticks + 1, spt + 1)), np.empty((n_ticks + 1, spt + 1))
+
+    # pass 1: the tick recurrence on boundary states, written straight into
+    # the grids' first column (the initial state, then the post-jump states)
+    # and last column (the pre-jump states); the pre-jump state is the flow
+    # over t_c from the tick start (t_c*(spt/spt) == t_c).  The columns are
+    # written through memoryviews: a float stored through one costs about
+    # half a numpy scalar store.
+    x_starts, xi_starts = memoryview(x_grid[:, 0]), memoryview(xi_grid[:, 0])
+    x_pres, xi_pres = memoryview(x_grid[:, spt]), memoryview(xi_grid[:, spt])
     x, xi = scenario.x0, scenario.xi0
-    xs, xis = [x], [xi]  # tick starts: the initial state, then post-jump states
-    pre_xs, pre_xis, fire_ticks = [], [], []
+    x_starts[0], xi_starts[0] = x, xi
+    fire_ticks = []
     since_fire = 0  # whole ticks since the last pellet, or since t = 0
     for k in range(1, n_ticks + 1):
         x_pre, xi_pre = flow_x(x, t_c, plant), flow_xi(x, xi, t_c, plant, x_sat)
-        pre_xs.append(x_pre)
-        pre_xis.append(xi_pre)
+        x_pres[k - 1], xi_pres[k - 1] = x_pre, xi_pre
         since_fire += 1
         outcome = tick_jump(HybridState(x_pre, xi_pre), since_fire, plant, controller, actuator)
         x, xi = outcome.state_after.x, outcome.state_after.xi
-        xs.append(x)
-        xis.append(xi)
+        x_starts[k], xi_starts[k] = x, xi
         if outcome.fired:
             fire_ticks.append(k)
             since_fire = 0
@@ -137,12 +145,7 @@ def simulate(scenario: Scenario) -> Trajectory:
     tail = remainder > 0.0
     n_tail = sum(dt < remainder - _TICK_EPS * t_c for dt in offsets)
 
-    # pass 2: row i holds tick start i, its interior samples and the
-    # pre-jump state of tick i+1, so the rows read in order are the samples
-    x_grid, xi_grid = np.empty((n_ticks + 1, spt + 1)), np.empty((n_ticks + 1, spt + 1))
-    x_grid[:, 0], xi_grid[:, 0] = xs, xis
-    x_grid[:-1, spt], xi_grid[:-1, spt] = pre_xs, pre_xis
-    del xs, xis, pre_xs, pre_xis  # free the boundary floats before t and j are allocated
+    # pass 2: the interior samples
     rows = n_ticks + (n_tail > 0) if offsets else 0  # interior samples only when spt > 1
     step = max(1, CHUNK // spt)  # tick rows per block: about CHUNK samples
     for lo in range(0, rows, step):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Callable
 
@@ -315,7 +315,7 @@ class RunResult:
     def summary_dict(self) -> dict:
         return {
             "scenario": scenario_to_dict(self.scenario),
-            "certificate": self.certificate.as_dict(),
+            "certificate": asdict(self.certificate),
             "verify": self.report.as_dict(),
             "passed": self.passed,
             "failures": self.report.failures(),
@@ -349,9 +349,7 @@ def _with_axis_value(base: Scenario, axis: str, value: float) -> Scenario:
         return replace(base, controller=replace(base.controller, delta=value))
     if axis == "t_c":
         return replace(base, actuator=replace(base.actuator, t_c=value))
-    if axis == "r":
-        return replace(base, plant=replace(base.plant, r=value))
-    raise ValueError(f"axis must be one of {_SWEEP_AXES}, got {axis!r}")
+    return replace(base, plant=replace(base.plant, r=value))
 
 
 def sweep(base: Scenario, axis: str, values, outdir: str | Path | None = None) -> list[dict]:
@@ -366,20 +364,13 @@ def sweep(base: Scenario, axis: str, values, outdir: str | Path | None = None) -
     for value in values:
         scenario = _with_axis_value(base, axis, value)  # ValidationError propagates
         result = run_scenario(scenario)
-        m = result.report.metrics
-        rows.append(
-            {
-                axis: value,
-                "feasible": result.certificate.feasible,
-                "envelope": result.report.as_dict()["envelope"],
-                "windup_detected": result.report.windup_detected,
-                "pellet_count": m.pellet_count,
-                "min_x_steady": m.min_x_steady,
-                "max_x_steady": m.max_x_steady,
-                "mean_x_steady": m.mean_x_steady,
-                "settling_time": m.settling_time,
-            }
-        )
+        rows.append({
+            axis: value,
+            "feasible": result.certificate.feasible,
+            "envelope": result.report.status("envelope"),
+            "windup_detected": result.report.windup_detected,
+            **vars(result.report.metrics),
+        })
     if outdir is not None:
         out = Path(outdir)
         out.mkdir(parents=True, exist_ok=True)

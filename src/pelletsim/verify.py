@@ -8,7 +8,7 @@ bound) report None rather than a silent pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -18,6 +18,12 @@ from .engine import steady_state_window
 
 # absolute slack for density comparisons, scaled by the reference magnitude
 _REL_SLACK = 1e-9
+
+# the checks report() runs, in the order every report lists them
+CHECKS = ("envelope", "zeno", "dwell", "contraction")
+
+# a check's verdict as written out
+_STATUS = {True: "pass", False: "fail", None: "not_applicable"}
 
 
 class GridMismatch(ValueError):
@@ -32,12 +38,6 @@ class CheckWitness:
     lower: float | None = None
     upper: float | None = None
     note: str = ""
-
-    def as_dict(self) -> dict:
-        return {
-            "t": self.t, "j": self.j, "value": self.value,
-            "lower": self.lower, "upper": self.upper, "note": self.note,
-        }
 
 
 def _first(bad: np.ndarray) -> int | None:
@@ -202,15 +202,6 @@ class Metrics:
     mean_x_steady: float
     settling_time: float | None
 
-    def as_dict(self) -> dict:
-        return {
-            "pellet_count": self.pellet_count,
-            "min_x_steady": self.min_x_steady,
-            "max_x_steady": self.max_x_steady,
-            "mean_x_steady": self.mean_x_steady,
-            "settling_time": self.settling_time,
-        }
-
 
 def compute_metrics(traj: Trajectory, fraction: float = 0.5) -> Metrics:
     t_start, _ = steady_state_window(traj, fraction)
@@ -235,75 +226,43 @@ def compute_metrics(traj: Trajectory, fraction: float = 0.5) -> Metrics:
 
 @dataclass(frozen=True)
 class VerifyReport:
-    envelope_ok: bool | None
-    zeno_ok: bool
-    dwell_ok: bool | None
-    contraction_ok: bool | None
+    verdicts: dict[str, bool | None]  # per check, in CHECKS order: pass, fail or not applicable
+    witnesses: dict[str, CheckWitness]  # the first violation of each failed check
     windup_detected: bool
     metrics: Metrics
-    witnesses: dict
+
+    def status(self, check: str) -> str:
+        """'pass', 'fail' or 'not_applicable'."""
+        return _STATUS[self.verdicts[check]]
 
     def all_applicable_pass(self) -> bool:
-        return (
-            self.zeno_ok
-            and self.envelope_ok is not False
-            and self.dwell_ok is not False
-            and self.contraction_ok is not False
-        )
+        return False not in self.verdicts.values()
 
     def failures(self) -> list[dict]:
-        out = []
-        for name, ok in (
-            ("envelope", self.envelope_ok),
-            ("zeno", self.zeno_ok),
-            ("dwell", self.dwell_ok),
-            ("contraction", self.contraction_ok),
-        ):
-            if ok is False:
-                witness = self.witnesses.get(name)
-                out.append({"check": name, "witness": witness.as_dict() if witness else None})
-        return out
+        witnesses = {name: asdict(w) for name, w in self.witnesses.items()}
+        return [{"check": name, "witness": witnesses.get(name)}
+                for name, ok in self.verdicts.items() if ok is False]
 
     def as_dict(self) -> dict:
-        def status(ok):
-            if ok is None:
-                return "not_applicable"
-            return "pass" if ok else "fail"
-
-        d = {
-            "envelope": status(self.envelope_ok),
-            "zeno": status(self.zeno_ok),
-            "dwell": status(self.dwell_ok),
-            "contraction": status(self.contraction_ok),
-            "windup_detected": self.windup_detected,
-            "metrics": self.metrics.as_dict(),
-        }
+        d: dict = {name: self.status(name) for name in self.verdicts}
+        d["windup_detected"] = self.windup_detected
+        d["metrics"] = asdict(self.metrics)
         if self.witnesses:
-            d["witnesses"] = {k: w.as_dict() for k, w in self.witnesses.items()}
+            d["witnesses"] = {name: asdict(w) for name, w in self.witnesses.items()}
         return d
 
 
 def report(traj: Trajectory, cert: Certificate, fraction: float = 0.5) -> VerifyReport:
     """Run every check that applies and collect metrics."""
-    witnesses: dict[str, CheckWitness] = {}
-    env_ok, w = check_envelope(traj, cert)
-    if w:
-        witnesses["envelope"] = w
-    zeno_ok, w = check_zeno(traj)
-    if w:
-        witnesses["zeno"] = w
-    dwell_ok, w = check_dwell(traj, cert)
-    if w:
-        witnesses["dwell"] = w
-    contr_ok, w = check_contraction(traj, cert)
-    if w:
-        witnesses["contraction"] = w
+    outcomes = dict(zip(CHECKS, (
+        check_envelope(traj, cert),
+        check_zeno(traj),
+        check_dwell(traj, cert),
+        check_contraction(traj, cert),
+    )))
     return VerifyReport(
-        envelope_ok=env_ok,
-        zeno_ok=zeno_ok,
-        dwell_ok=dwell_ok,
-        contraction_ok=contr_ok,
+        verdicts={name: ok for name, (ok, _) in outcomes.items()},
+        witnesses={name: w for name, (_, w) in outcomes.items() if w},
         windup_detected=detect_windup(traj, traj.controller.delta),
         metrics=compute_metrics(traj, fraction),
-        witnesses=witnesses,
     )

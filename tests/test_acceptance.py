@@ -274,6 +274,6 @@ def test_criterion_10_validation_and_infeasible_handling(plant):
     traj = simulate(slow)  # simulation must still run
     assert len(traj) > 0
     rep = report(traj, cert)
-    assert rep.envelope_ok is not True  # not-applicable or violated, never a silent pass
+    assert rep.verdicts["envelope"] is not True  # not-applicable or violated, never a silent pass
     assert rep.as_dict()["envelope"] in ("not_applicable", "fail")
     ok("criterion 10: invalid plants rejected; infeasible tunings run but never claim the bound")

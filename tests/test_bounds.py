@@ -99,6 +99,14 @@ class TestEnvelope:
         assert lower == -2e19
         assert upper == plant.alpha
 
+    def test_negative_start_array_matches_scalar(self, plant):
+        # the lower bound climbs through zero near t = 0.1; an array of times
+        # gives the scalar values bit for bit
+        ts = np.concatenate((np.linspace(0.0, 0.3, 301), [1e-300, 0.1, 10.0]))
+        lower, upper = envelope(ts, -1.5e19, plant)
+        assert lower.tolist() == [envelope(float(t), -1.5e19, plant)[0] for t in ts]
+        assert upper == plant.alpha
+
     def test_upper_strictly_decreasing_for_positive_start(self, plant):
         ts = np.linspace(0.0, 1.0, 300)
         uppers = [envelope(t, 5e19, plant)[1] for t in ts]

@@ -62,7 +62,7 @@ def test_sweep_writes_table(tmp_path, capsys):
 
 
 def test_compare_oracle_within_tolerance(capsys):
-    assert main(["compare-oracle", NM, "--oracle-steps", "200", "--samples-per-tick", "1"]) == 0
+    assert main(["compare-oracle", NM, "--oracle-steps", "200"]) == 0
     out = capsys.readouterr().out
     assert "max relative deviation" in out
 
@@ -130,10 +130,17 @@ def test_bad_compare_oracle_option_is_usage_error(argv, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("verb", ["certify", "compare-oracle"])
+def test_samples_per_tick_is_not_an_option_of_verbs_that_read_no_samples(verb, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([verb, NM, "--samples-per-tick", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --samples-per-tick" in capsys.readouterr().err
+
+
 def test_zero_rtol_is_accepted(capsys):
     # a zero tolerance is a legal (if strict) request, not a usage error
-    code = main(["compare-oracle", NM, "--oracle-steps", "200", "--samples-per-tick", "1",
-                 "--rtol", "0"])
+    code = main(["compare-oracle", NM, "--oracle-steps", "200", "--rtol", "0"])
     assert code in (0, 1)
 
 

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -103,6 +105,21 @@ def test_sampling_density_does_not_change_decisions(plant):
     (ta, tpa), (tb, tpb) = a.timers(), b.timers()
     for col_a, col_b in ((a.x, b.x), (a.xi, b.xi), (ta, tb), (tpa, tpb)):
         assert np.array_equal(col_a[ra - 1], col_b[rb - 1])
+
+
+def test_peak_memory_at_one_sample_a_tick_is_the_columns(nm_tracking):
+    # every row is then a boundary state of the tick loop, which writes them
+    # straight into the columns; these keep 33 B a sample
+    t_c = nm_tracking.actuator.t_c
+    scenario = replace(nm_tracking, samples_per_tick=1, t_end=t_c * 100_000)
+    tracemalloc.start()
+    try:
+        traj = simulate(scenario)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(traj) == 200_001
+    assert peak / len(traj) <= 60
 
 
 def test_time_invariance_from_post_fire_state(nm_tracking):

@@ -142,13 +142,21 @@ class TestArtifacts:
 
 
     # sdm_windup draws no overlays; nm_gas_gun has 2 samples a tick, so
-    # most of its rows are boundary states of the tick loop
-    @pytest.mark.parametrize("name", ["nm_tracking", "sdm_windup", "nm_gas_gun"])
-    def test_peak_memory_is_the_columns_plus_fixed_blocks(self, tmp_path, name):
+    # most of its rows are boundary states of the tick loop; a start below
+    # zero checks and draws the envelope's climbing lower bound
+    @pytest.mark.parametrize("name, x0_over_r", [
+        pytest.param("nm_tracking", None, id="nm_tracking"),
+        pytest.param("sdm_windup", None, id="sdm_windup"),
+        pytest.param("nm_gas_gun", None, id="nm_gas_gun"),
+        pytest.param("nm_tracking", -0.5, id="nm_tracking_below_zero"),
+    ])
+    def test_peak_memory_is_the_columns_plus_fixed_blocks(self, tmp_path, name, x0_over_r):
         shipped = load_scenario(SCENARIO_DIR / f"{name}.json")
         t_c, spt = shipped.actuator.t_c, shipped.samples_per_tick
         run_scenario(shipped, tmp_path / "warm", svg=True)  # builds the formatting tables
         scenario = replace(shipped, t_end=t_c * (200_000 // (spt + 1)))
+        if x0_over_r is not None:
+            scenario = replace(scenario, x0=x0_over_r * scenario.plant.r)
         tracemalloc.start()
         try:
             result = run_scenario(scenario, tmp_path, svg=True)

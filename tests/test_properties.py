@@ -70,6 +70,26 @@ def gated_setups(draw, variant=Variant.NM):
     return plant, actuator, ControllerSpec(variant, delta), l
 
 
+@st.composite
+def configurations(draw):
+    """Any variant, with or without a preparation gate, at tick periods and
+    thresholds that reach every branch of certify: the tick limits of both
+    families, the reset and clipping threshold ranges, and the near-zero
+    threshold of the widened bound."""
+    plant = draw(plants())
+    t_c = draw(st.sampled_from([0.5, 1.0]) | st.floats(0.05, 2.0, **finite)) * plant.tau_d
+    t_prep = draw(st.just(0.0) | st.integers(1, 4) | st.floats(0.0, 5.0, **finite)) * t_c
+    actuator = ActuatorSpec(t_c=t_c, t_prep=t_prep)
+    scale = draw(st.sampled_from([
+        delta_max(plant, t_c, Variant.NM, actuator.prep_ticks()),
+        delta_max(plant, t_c, Variant.SDM_IC),
+        1e-6 * plant.alpha * t_c,
+    ]))
+    frac = draw(st.just(1.0) | st.floats(1e-3, 1.5, **finite))
+    delta = frac * scale if frac * scale > 0.0 else frac * plant.alpha * t_c
+    return plant, actuator, ControllerSpec(draw(st.sampled_from(list(Variant))), delta)
+
+
 def short_scenario(plant, actuator, controller, x0, cycles=4.0):
     t_end = max(cycles * plant.tau_d, 3.0 * actuator.t_c)
     return Scenario(plant, actuator, controller, x0=x0, t_end=t_end, samples_per_tick=1)
@@ -123,6 +143,29 @@ class TestJumpProperties:
         state = HybridState(x=0.0, xi=frac * delta * (1.0 - 1e-6))
         out = tick_jump(state, 1, plant, ControllerSpec(Variant.NM, delta), actuator)
         assert not out.fired
+
+
+class TestCertificateProperties:
+    @given(configurations())
+    @settings(max_examples=1000, deadline=None)
+    def test_every_branch_is_consistent(self, config):
+        plant, actuator, controller = config
+        cert = certify(plant, actuator, controller)
+        variant = controller.variant
+        assert cert.l == actuator.prep_ticks()
+        assert cert.nonstandard == (variant in (Variant.SDM, Variant.SDM_IC) and cert.l > 1)
+        assert cert.feasible == (cert.bound_interval is not None) == (cert.bound_scope != "none")
+        if not cert.feasible:
+            assert cert.reason
+            return
+        assert variant is not Variant.SDM
+        assert not cert.nonstandard
+        assert not cert.reason or cert.bound_scope == "steady_state"
+        assert 0.0 < controller.delta <= cert.delta_max
+        assert actuator.t_c <= cert.tc_max
+        if variant is Variant.SDM_IC and cert.bound_scope == "trajectory":
+            assert actuator.t_c < cert.tc_max
+        assert cert.bound_interval[0] == -plant.alpha
 
 
 class TestTrajectoryProperties:

@@ -182,7 +182,7 @@ class TestMetricsAndReport:
         traj, cert = run(sc)
         assert not cert.feasible
         rep = report(traj, cert)
-        assert rep.envelope_ok is None
+        assert rep.verdicts["envelope"] is None
         assert rep.as_dict()["envelope"] == "not_applicable"
 
     def test_threshold_placement_inside_the_bound(self, nm_tracking, nm_small_threshold):
