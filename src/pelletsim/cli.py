@@ -111,24 +111,25 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, runs=True):
+    def add_verb(name, help, runs=True, svg=False):
+        p = sub.add_parser(name, help=help)
         p.add_argument("scenario", help="scenario JSON file")
         if runs:
             p.add_argument("--samples-per-tick", type=int, default=None, metavar="N")
             p.add_argument("-o", "--outdir", default="out")
+        if svg:
             p.add_argument("--svg", action="store_true", help="also render plot.svg")
+        return p
 
-    add_common(sub.add_parser("certify", help="print the tuning certificate"), runs=False)
-    add_common(sub.add_parser("simulate", help="run and write artifacts"))
-    add_common(sub.add_parser("verify", help="run, check, and report"))
-    p_sweep = sub.add_parser("sweep", help="rerun over a parameter axis")
-    add_common(p_sweep)
-    p_sweep.add_argument("--axis", choices=("delta", "t_c", "r"), required=True)
+    add_verb("certify", "print the tuning certificate", runs=False)
+    add_verb("simulate", "run and write artifacts", svg=True)
+    add_verb("verify", "run, check, and report", svg=True)
+    p_sweep = add_verb("sweep", "rerun over a parameter axis")
+    p_sweep.add_argument("--axis", choices=tuple(io.SWEEP_AXES), required=True)
     p_sweep.add_argument("--values", required=True, help="comma-separated numbers")
-    p_cmp = sub.add_parser("compare-oracle", help="cross-check against RK4 integration")
-    add_common(p_cmp, runs=False)
+    p_cmp = add_verb("compare-oracle", "cross-check against RK4 integration", runs=False)
     p_cmp.add_argument("--oracle-steps", type=_step_count, default=1000, metavar="N")
-    p_cmp.add_argument("--rtol", type=_tolerance, default=1e-6)
+    p_cmp.add_argument("--rtol", type=_tolerance, default=verify.RTOL)
     return parser
 
 

@@ -287,8 +287,8 @@ class Certificate:
 def validate(plant: PlantParams, actuator: ActuatorSpec, controller: ControllerSpec) -> None:
     """Re-run the three specs' own construction checks; raises on violation.
 
-    Constructors already enforce these, so this is cheap insurance on the
-    simulation entry path, without a second copy of any check.
+    Constructors already enforce these; Scenario and certify re-run them as
+    cheap insurance, without a second copy of any check.
     """
     for spec in (plant, actuator, controller):
         spec.__post_init__()

@@ -77,8 +77,10 @@ class Scenario:
             raise ValidationError("xi0 must be nonnegative")
         if not self.t_end > 0.0:
             raise ValidationError("t_end must be positive")
-        if self.samples_per_tick < 1:
+        if type(self.samples_per_tick) is not int or self.samples_per_tick < 1:  # nor bool
             raise ValidationError("samples_per_tick must be a positive integer")
+        if not isinstance(self.seed_note, (str, type(None))):
+            raise ValidationError(f"seed_note must be a string, got {self.seed_note!r}")
 
     @property
     def x_sat(self) -> float | None:
@@ -106,7 +108,6 @@ def simulate(scenario: Scenario) -> Trajectory:
     and Zeno behaviour is ruled out by construction.
     """
     plant, actuator, controller = scenario.plant, scenario.actuator, scenario.controller
-    validate(plant, actuator, controller)
     t_c = actuator.t_c
     spt = scenario.samples_per_tick
     x_sat = scenario.x_sat
@@ -153,31 +154,21 @@ def simulate(scenario: Scenario) -> Trajectory:
         x0s, xi0s = x_grid[block, 0], xi_grid[block, 0]
         x_grid[block, 1:spt] = flow.flow_x_grid(x0s, offsets, plant)
         xi_grid[block, 1:spt] = flow.flow_xi_grid(x0s, xi0s, offsets, plant, x_sat)
-    if tail:
+
+    # row i of the grids is at t = t_c*(i + m/spt) and j = i for m = 0..spt
+    t_grid = np.add.outer(np.arange(n_ticks + 1), np.arange(spt + 1) / spt)
+    t_grid *= t_c
+    if tail:  # the last sample, at t_end
         x_grid[-1, n_tail + 1] = flow_x(x, remainder, plant)
         xi_grid[-1, n_tail + 1] = flow_xi(x, xi, remainder, plant, x_sat)
-    n_body = n_ticks * (spt + 1) + 1  # the initial row and every tick's rows
-    n_samples = n_body + (n_tail + 1 if tail else 0)
-
-    # per tick: spt flow rows at j = k-1, then the post-jump row at j = k,
-    # at t = t_c*(k-1 + m/spt) for m = 1..spt, then t_c*k
-    t, j = np.empty(n_samples), np.empty(n_samples, dtype=np.int64)
-    t[0], j[0] = 0.0, 0
-    t_ticks = t[1:n_body].reshape(n_ticks, spt + 1)
-    j_ticks = j[1:n_body].reshape(n_ticks, spt + 1)
-    ticks = np.arange(n_ticks)[:, None]
-    np.add(ticks, np.arange(1, spt + 1) / spt, out=t_ticks[:, :spt])
-    t_ticks[:, spt:] = j_ticks[:, spt:] = ticks + 1
-    t_ticks *= t_c
-    j_ticks[:, :spt] = ticks
-    t_tail = [t_c * (n_ticks + m / spt) for m in range(1, n_tail + 1)]
-    t[n_body:] = t_tail + [scenario.t_end] if tail else t_tail
-    j[n_body:] = n_ticks
+        t_grid[-1, n_tail + 1] = scenario.t_end
+    n_samples = n_ticks * (spt + 1) + 1 + (n_tail + 1 if tail else 0)
 
     fired = np.zeros(n_samples, dtype=bool)
     fired[np.array(fire_ticks, dtype=np.int64) * (spt + 1)] = True
     return Trajectory(
-        t=t, j=j,
+        t=t_grid.ravel()[:n_samples],
+        j=np.repeat(np.arange(n_ticks + 1), spt + 1)[:n_samples],
         x=x_grid.ravel()[:n_samples],
         xi=xi_grid.ravel()[:n_samples],
         fired=fired,
@@ -185,11 +176,8 @@ def simulate(scenario: Scenario) -> Trajectory:
     )
 
 
-def steady_state_window(traj: Trajectory, fraction: float = 0.5) -> tuple[float, float]:
-    """Trailing `fraction` of the simulated time span, for steady-state metrics."""
+def steady_state_window(traj: Trajectory) -> tuple[float, float]:
+    """The trailing half of the simulated time span, for steady-state metrics."""
     if len(traj) == 0:
         raise EmptyTrajectory("cannot take a steady-state window of an empty trajectory")
-    if not 0.0 < fraction < 1.0:
-        raise ValueError("fraction must lie in (0, 1)")
-    t_end = traj.t_end
-    return (t_end * (1.0 - fraction), t_end)
+    return (traj.t_end * 0.5, traj.t_end)

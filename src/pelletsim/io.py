@@ -8,6 +8,10 @@ are missing required keys.  Numbers are JSON doubles in SI units.
      "controller": {"variant": "NM"|"SDM"|"SDM_IC"|"SDM_JM", "delta": },
      "init":       {"x0": m^-3, "xi0": },
      "sim":        {"t_end": s, "samples_per_tick": int, "seed_note": str}}
+
+t_prep, mode, xi0, samples_per_tick and seed_note are optional: a key the
+file leaves out takes the default that ActuatorSpec or Scenario declares,
+the only place it is set.  The emitted document writes every field.
 """
 
 from __future__ import annotations
@@ -63,16 +67,18 @@ def _check_keys(section: dict, where: str, required: set[str], optional: set[str
         raise SchemaError(f"missing key(s) in {where}: {sorted(missing)}")
 
 
-def _number(section: dict, where: str, key: str, default=None) -> float:
-    if key not in section:
-        return default
-    v = section[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise SchemaError(f"{where}.{key} must be a number, got {v!r}")
-    try:
-        return float(v)
-    except OverflowError:  # an integer beyond the float range
-        raise SchemaError(f"{where}.{key} is too large for a float") from None
+def _numbers(section: dict, where: str, keys: tuple[str, ...]) -> dict[str, float]:
+    """The numbers among `keys` that the section holds, as floats."""
+    numbers = {}
+    for key in [k for k in keys if k in section]:
+        v = section[key]
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise SchemaError(f"{where}.{key} must be a number, got {v!r}")
+        try:
+            numbers[key] = float(v)
+        except OverflowError:  # an integer beyond the float range
+            raise SchemaError(f"{where}.{key} is too large for a float") from None
+    return numbers
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -87,30 +93,24 @@ def parse_scenario(text: str) -> Scenario:
 
     plant_sec = _require_section(doc, "plant")
     _check_keys(plant_sec, "plant", {"tau", "r", "alpha"})
-    tau = _number(plant_sec, "plant", "tau")
-    r = _number(plant_sec, "plant", "r")
     alpha_raw = plant_sec["alpha"]
     if isinstance(alpha_raw, dict):
         _check_keys(alpha_raw, "plant.alpha", {"m_p", "volume"})
-        plant = PlantParams.from_pellet(
-            tau, r, _number(alpha_raw, "plant.alpha", "m_p"),
-            _number(alpha_raw, "plant.alpha", "volume"),
-        )
+        plant = PlantParams.from_pellet(**_numbers(plant_sec, "plant", ("tau", "r")),
+                                        **_numbers(alpha_raw, "plant.alpha", ("m_p", "volume")))
     else:
-        plant = PlantParams(tau, r, _number(plant_sec, "plant", "alpha"))
+        plant = PlantParams(**_numbers(plant_sec, "plant", ("tau", "r", "alpha")))
 
     act_sec = _require_section(doc, "actuator")
     _check_keys(act_sec, "actuator", {"t_c"}, {"t_prep", "mode"})
-    mode_raw = act_sec.get("mode", "centrifuge")
-    try:
-        mode = ActuatorMode(mode_raw)
-    except (ValueError, TypeError):
-        raise SchemaError(f"actuator.mode must be 'centrifuge' or 'gas_gun', got {mode_raw!r}")
-    actuator = ActuatorSpec(
-        t_c=_number(act_sec, "actuator", "t_c"),
-        t_prep=_number(act_sec, "actuator", "t_prep", 0.0),
-        mode=mode,
-    )
+    act_kw = _numbers(act_sec, "actuator", ("t_c", "t_prep"))
+    if "mode" in act_sec:
+        try:
+            act_kw["mode"] = ActuatorMode(act_sec["mode"])
+        except (ValueError, TypeError):
+            raise SchemaError("actuator.mode must be 'centrifuge' or 'gas_gun', "
+                              f"got {act_sec['mode']!r}")
+    actuator = ActuatorSpec(**act_kw)
 
     ctl_sec = _require_section(doc, "controller")
     _check_keys(ctl_sec, "controller", {"variant", "delta"})
@@ -118,50 +118,33 @@ def parse_scenario(text: str) -> Scenario:
         variant = Variant(ctl_sec["variant"])
     except (ValueError, TypeError):
         raise SchemaError(f"controller.variant must be one of {[v.value for v in Variant]}")
-    controller = ControllerSpec(variant=variant, delta=_number(ctl_sec, "controller", "delta"))
+    controller = ControllerSpec(variant, **_numbers(ctl_sec, "controller", ("delta",)))
 
     init_sec = _require_section(doc, "init")
     _check_keys(init_sec, "init", {"x0"}, {"xi0"})
     sim_sec = _require_section(doc, "sim")
     _check_keys(sim_sec, "sim", {"t_end"}, {"samples_per_tick", "seed_note"})
-    spt = sim_sec.get("samples_per_tick", 10)
-    if isinstance(spt, bool) or not isinstance(spt, int):
+    sim_kw = {key: sim_sec[key] for key in ("samples_per_tick", "seed_note") if key in sim_sec}
+    if "samples_per_tick" in sim_kw and type(sim_kw["samples_per_tick"]) is not int:  # nor bool
         raise SchemaError("sim.samples_per_tick must be an integer")
-    seed_note = sim_sec.get("seed_note")
-    if seed_note is not None and not isinstance(seed_note, str):
-        raise SchemaError("sim.seed_note must be a string")
 
     return Scenario(
-        plant=plant,
-        actuator=actuator,
-        controller=controller,
-        x0=_number(init_sec, "init", "x0"),
-        xi0=_number(init_sec, "init", "xi0", 0.0),
-        t_end=_number(sim_sec, "sim", "t_end"),
-        samples_per_tick=spt,
-        seed_note=seed_note,
+        plant, actuator, controller,
+        **_numbers(init_sec, "init", ("x0", "xi0")),
+        **_numbers(sim_sec, "sim", ("t_end",)),
+        **sim_kw,
     )
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
+    """The scenario document; the specs' enums are str enums, dumped as their values."""
     sim: dict = {"t_end": scenario.t_end, "samples_per_tick": scenario.samples_per_tick}
     if scenario.seed_note is not None:
         sim["seed_note"] = scenario.seed_note
     return {
-        "plant": {
-            "tau": scenario.plant.tau,
-            "r": scenario.plant.r,
-            "alpha": scenario.plant.alpha,
-        },
-        "actuator": {
-            "t_c": scenario.actuator.t_c,
-            "t_prep": scenario.actuator.t_prep,
-            "mode": scenario.actuator.mode.value,
-        },
-        "controller": {
-            "variant": scenario.controller.variant.value,
-            "delta": scenario.controller.delta,
-        },
+        "plant": asdict(scenario.plant),
+        "actuator": asdict(scenario.actuator),
+        "controller": asdict(scenario.controller),
         "init": {"x0": scenario.x0, "xi0": scenario.xi0},
         "sim": sim,
     }
@@ -258,7 +241,9 @@ def render_svg(traj: Trajectory, cert: Certificate, path: str | Path) -> None:
         lower, upper = cert.bound_interval
         colour = "#8e44ad"
         if cert.bound_scope == "trajectory":
+            # the envelope check_envelope checks: from x0 <= 0 the lower bound climbs
             x0, colour = float(xs[0]), "#c0392b"
+            lower = lambda t: bounds.envelope(t, x0, traj.plant)[0]
             upper = lambda t: bounds.envelope(t, x0, traj.plant)[1]
         overlays_x += [(upper, colour), (lower, colour)]
 
@@ -341,28 +326,22 @@ def run_scenario(scenario: Scenario, outdir: str | Path | None = None, svg: bool
     return result
 
 
-_SWEEP_AXES = ("delta", "t_c", "r")
-
-
-def _with_axis_value(base: Scenario, axis: str, value: float) -> Scenario:
-    if axis == "delta":
-        return replace(base, controller=replace(base.controller, delta=value))
-    if axis == "t_c":
-        return replace(base, actuator=replace(base.actuator, t_c=value))
-    return replace(base, plant=replace(base.plant, r=value))
+# each sweep axis, and the spec of the scenario that holds it
+SWEEP_AXES = {"delta": "controller", "t_c": "actuator", "r": "plant"}
 
 
 def sweep(base: Scenario, axis: str, values, outdir: str | Path | None = None) -> list[dict]:
     """One row per swept value; infeasible configurations are retained and
     flagged, invalid ones raise."""
-    if axis not in _SWEEP_AXES:
-        raise ValueError(f"axis must be one of {_SWEEP_AXES}, got {axis!r}")
+    if axis not in SWEEP_AXES:
+        raise ValueError(f"axis must be one of {tuple(SWEEP_AXES)}, got {axis!r}")
+    spec = SWEEP_AXES[axis]
     values = list(values)
     if not values:
         raise EmptyAxis("no values to sweep")
     rows = []
     for value in values:
-        scenario = _with_axis_value(base, axis, value)  # ValidationError propagates
+        scenario = replace(base, **{spec: replace(getattr(base, spec), **{axis: value})})
         result = run_scenario(scenario)
         rows.append({
             axis: value,

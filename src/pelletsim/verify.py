@@ -19,6 +19,8 @@ from .engine import steady_state_window
 # absolute slack for density comparisons, scaled by the reference magnitude
 _REL_SLACK = 1e-9
 
+RTOL = 1e-6  # compare's default bound on the relative deviations
+
 # the checks report() runs, in the order every report lists them
 CHECKS = ("envelope", "zeno", "dwell", "contraction")
 
@@ -137,10 +139,10 @@ def check_contraction(traj: Trajectory, cert: Certificate) -> tuple[bool | None,
                                "cycle did not contract")
 
 
-def detect_windup(traj: Trajectory, delta: float) -> bool:
+def detect_windup(traj: Trajectory) -> bool:
     """Wind-up signature: two consecutive fires that both leave a residue at
     or above the threshold, or any sample undershooting -alpha."""
-    high = traj.xi[traj.fired] >= delta
+    high = traj.xi[traj.fired] >= traj.controller.delta
     if np.any(high[:-1] & high[1:]):
         return True
     floor = -traj.plant.alpha - 1e-12 * traj.plant.r
@@ -165,7 +167,7 @@ class ComparisonResult:
     passed: bool
 
 
-def compare(traj_a: Trajectory, traj_b: Trajectory, rtol: float = 1e-6) -> ComparisonResult:
+def compare(traj_a: Trajectory, traj_b: Trajectory, rtol: float = RTOL) -> ComparisonResult:
     """Maximum relative deviation of the pre-jump tick states, scaled by
     max(|value|, alpha), plus the first fire-decision mismatch if any."""
     t_c = traj_a.actuator.t_c
@@ -203,8 +205,8 @@ class Metrics:
     settling_time: float | None
 
 
-def compute_metrics(traj: Trajectory, fraction: float = 0.5) -> Metrics:
-    t_start, _ = steady_state_window(traj, fraction)
+def compute_metrics(traj: Trajectory) -> Metrics:
+    t_start, _ = steady_state_window(traj)
     t, x = traj.t, traj.x
     window = x[t >= t_start - 1e-9 * traj.t_end]
     alpha, r = traj.plant.alpha, traj.plant.r
@@ -252,7 +254,7 @@ class VerifyReport:
         return d
 
 
-def report(traj: Trajectory, cert: Certificate, fraction: float = 0.5) -> VerifyReport:
+def report(traj: Trajectory, cert: Certificate) -> VerifyReport:
     """Run every check that applies and collect metrics."""
     outcomes = dict(zip(CHECKS, (
         check_envelope(traj, cert),
@@ -263,6 +265,6 @@ def report(traj: Trajectory, cert: Certificate, fraction: float = 0.5) -> Verify
     return VerifyReport(
         verdicts={name: ok for name, (ok, _) in outcomes.items()},
         witnesses={name: w for name, (_, w) in outcomes.items() if w},
-        windup_detected=detect_windup(traj, traj.controller.delta),
-        metrics=compute_metrics(traj, fraction),
+        windup_detected=detect_windup(traj),
+        metrics=compute_metrics(traj),
     )

@@ -44,8 +44,10 @@ def ok(name):
     print(f"PASS {name}")
 
 
-def steady_samples(traj, t_start=0.5):
-    return [s for s in traj.samples if s.time.t >= t_start - 1e-12]
+def steady_rows(traj, t_start=0.5):
+    """The t and x columns from t_start on, as lists."""
+    rows = traj.t >= t_start - 1e-12
+    return traj.t[rows].tolist(), traj.x[rows].tolist()
 
 
 # -- 1 ------------------------------------------------------------------
@@ -65,8 +67,8 @@ def test_criterion_2_reset_controller_threshold_placement(nm_tracking, nm_small_
     m = {}
     for name, scenario in (("top", nm_tracking), ("bottom", nm_small_threshold)):
         traj = simulate(scenario)
-        for s in steady_samples(traj):
-            assert -ALPHA < s.state.x <= ALPHA + 1e-9 * traj.plant.r, (name, s.time.t, s.state.x)
+        for t, x in zip(*steady_rows(traj)):
+            assert -ALPHA < x <= ALPHA + 1e-9 * traj.plant.r, (name, t, x)
         m[name] = compute_metrics(traj).mean_x_steady
     assert m["top"] - m["bottom"] >= 0.05 * ALPHA
     ok("criterion 2: steady error inside (-alpha, alpha], larger threshold sits higher")
@@ -79,7 +81,7 @@ def test_criterion_3_windup_undershoot(sdm_windup):
     traj = simulate(sdm_windup)
     r = traj.plant.r
     assert float(traj.x.min()) < -ALPHA
-    steady_x = [s.state.x for s in steady_samples(traj)]
+    _, steady_x = steady_rows(traj)
     assert min(steady_x) < -ALPHA
     assert max(steady_x) <= ALPHA + 1e-9 * r
     ok("criterion 3: plain sigma-delta undershoots persistently, upper bound intact")
@@ -92,10 +94,10 @@ def test_criterion_4_clipped_fast_actuator_envelope(ic_fast):
     traj = simulate(ic_fast)
     plant = traj.plant
     eps = 1e-9 * plant.r
-    x0 = traj.samples[0].state.x
-    for s in traj.samples:
-        lower, upper = envelope(s.time.t, x0, plant)
-        assert lower - eps < s.state.x <= upper + eps, (s.time.t, s.state.x)
+    x0 = float(traj.x[0])
+    for t, x in zip(traj.t.tolist(), traj.x.tolist()):
+        lower, upper = envelope(t, x0, plant)
+        assert lower - eps < x <= upper + eps, (t, x)
     cert = certify(plant, ic_fast.actuator, ic_fast.controller)
     assert check_envelope(traj, cert) == (True, None)
     ok("criterion 4: input clipping with double-speed actuator stays in the envelope")
@@ -109,9 +111,9 @@ def test_criterion_5_clipped_slow_actuator_wider_bound(ic_slow):
     plant = traj.plant
     widened = plant.alpha * (2.0 - plant.alpha / plant.r)
     assert widened == pytest.approx(1.8571e19, rel=1e-3)
-    for s in steady_samples(traj):
-        assert s.state.x <= widened + 1e-9 * plant.r
-        assert s.state.x > -plant.alpha
+    for x in steady_rows(traj)[1]:
+        assert x <= widened + 1e-9 * plant.r
+        assert x > -plant.alpha
     ok("criterion 5: slow actuator with near-zero threshold keeps the widened bound")
 
 
@@ -120,9 +122,9 @@ def test_criterion_5_clipped_slow_actuator_wider_bound(ic_slow):
 
 def test_criterion_6_multi_subtraction_limit_cycle(jm_tracking):
     traj = simulate(jm_tracking)
-    for s in steady_samples(traj):
-        assert -ALPHA < s.state.x <= ALPHA + 1e-9 * traj.plant.r
-    assert not detect_windup(traj, jm_tracking.controller.delta)
+    for x in steady_rows(traj)[1]:
+        assert -ALPHA < x <= ALPHA + 1e-9 * traj.plant.r
+    assert not detect_windup(traj)
     ok("criterion 6: multi-threshold subtraction reaches the reset-family limit cycle")
 
 
@@ -176,8 +178,8 @@ def test_criterion_8_zeno_bound_1000():
         scenario = Scenario(plant, ActuatorSpec(t_c=t_c), controller, x0=x0,
                             t_end=rng.uniform(3.0, 20.0) * t_c, samples_per_tick=1)
         traj = simulate(scenario)
-        for s in traj.samples:
-            assert s.time.j <= math.floor(s.time.t / t_c + 1e-9) + 1
+        for t, j in zip(traj.t.tolist(), traj.j.tolist()):
+            assert j <= math.floor(t / t_c + 1e-9) + 1
     ok("criterion 8a: zeno bound j <= floor(t/t_c)+1 over 1000 random runs")
 
 
@@ -250,14 +252,14 @@ def test_criterion_9_preparation_time(plant, nm_tracking, nm_prep_gate):
     gated = make_scenario(plant, Variant.NM, 1.569e16, 1 / 70, 5e19, t_prep=0.012)
     a, b = simulate(nm_tracking), simulate(gated)
     assert len(a) == len(b)
-    for sa, sb in zip(a.samples, b.samples):
-        assert sa.state == sb.state and sa.fired == sb.fired  # bitwise identical
+    for name in ("x", "xi", "fired"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))  # bitwise identical
 
     cert = certify(plant, nm_prep_gate.actuator, nm_prep_gate.controller)
     assert cert.l == 3 and cert.feasible
     traj = simulate(nm_prep_gate)
-    for s in steady_samples(traj):
-        assert -ALPHA < s.state.x <= ALPHA + 1e-9 * plant.r
+    for x in steady_rows(traj)[1]:
+        assert -ALPHA < x <= ALPHA + 1e-9 * plant.r
     ok("criterion 9: one-tick preparation is invisible; three-tick gate stays certified")
 
 

@@ -130,12 +130,19 @@ def test_bad_compare_oracle_option_is_usage_error(argv, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("verb", ["certify", "compare-oracle"])
-def test_samples_per_tick_is_not_an_option_of_verbs_that_read_no_samples(verb, capsys):
+# certify and compare-oracle read no intra-tick samples; sweep draws no plot
+@pytest.mark.parametrize("verb, option, rest", [
+    pytest.param("certify", "--samples-per-tick", ["1"], id="certify-samples-per-tick"),
+    pytest.param("compare-oracle", "--samples-per-tick", ["1"],
+                 id="compare-oracle-samples-per-tick"),
+    # with the options sweep requires, so that --svg is the one it rejects
+    pytest.param("sweep", "--svg", ["--axis", "delta", "--values", "1e15"], id="sweep-svg"),
+])
+def test_verbs_take_no_option_they_would_not_read(verb, option, rest, capsys):
     with pytest.raises(SystemExit) as exc:
-        main([verb, NM, "--samples-per-tick", "1"])
+        main([verb, NM, option, *rest])
     assert exc.value.code == 2
-    assert "unrecognized arguments: --samples-per-tick" in capsys.readouterr().err
+    assert f"unrecognized arguments: {option}" in capsys.readouterr().err
 
 
 def test_zero_rtol_is_accepted(capsys):

@@ -105,14 +105,16 @@ def test_expm1_runs_only_on_the_lanes_whose_increment_is_kept(monkeypatch):
 
 
 def scalar_samples(scenario):
-    """x and xi with one flow_x/flow_xi call per sample, in time order."""
+    """t, j, x and xi with one flow_x/flow_xi call per sample, in time order."""
     plant, t_c, spt, x_sat = (scenario.plant, scenario.actuator.t_c,
                               scenario.samples_per_tick, scenario.x_sat)
     n_ticks = int(math.floor(scenario.t_end / t_c + _TICK_EPS))
     offsets = [t_c * (m / spt) for m in range(1, spt + 1)]
     x, xi, since_fire = scenario.x0, scenario.xi0, 0
-    xs, xis = [x], [xi]
-    for _ in range(n_ticks):
+    ts, js, xs, xis = [0.0], [0], [x], [xi]
+    for k in range(n_ticks):
+        ts += [t_c * (k + m / spt) for m in range(1, spt + 1)] + [t_c * (k + 1)]
+        js += [k] * spt + [k + 1]
         xs += [flow_x(x, dt, plant) for dt in offsets]
         xis += [flow_xi(x, xi, dt, plant, x_sat) for dt in offsets]
         since_fire += 1
@@ -126,9 +128,11 @@ def scalar_samples(scenario):
     remainder = scenario.t_end - t_c * n_ticks
     if remainder > _TICK_EPS * t_c:
         dts = [dt for dt in offsets if dt < remainder - _TICK_EPS * t_c] + [remainder]
+        ts += [t_c * (n_ticks + m / spt) for m in range(1, len(dts))] + [scenario.t_end]
+        js += [n_ticks] * len(dts)
         xs += [flow_x(x, dt, plant) for dt in dts]
         xis += [flow_xi(x, xi, dt, plant, x_sat) for dt in dts]
-    return xs, xis
+    return ts, js, xs, xis
 
 
 @given(plants(), st.sampled_from(list(Variant)), st.sampled_from(SPT), st.integers(0, 40),
@@ -144,7 +148,9 @@ def test_engine_samples_equal_scalar_path_with_partial_last_interval(
                         x0=x0 * plant.r, xi0=xi0 * delta, t_end=t_c * (ticks + part),
                         samples_per_tick=spt)
     traj = simulate(scenario)
-    xs, xis = scalar_samples(scenario)
+    ts, js, xs, xis = scalar_samples(scenario)
     assert traj.t[-1] == scenario.t_end  # the last interval is partial
+    assert (bits(traj.t) == bits(ts)).all()
+    assert traj.j.tolist() == js
     assert (bits(traj.x) == bits(xs)).all()
     assert (bits(traj.xi) == bits(xis)).all()

@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -117,7 +118,7 @@ class TestArtifacts:
         result = run_scenario(nm_tracking, outdir=tmp_path)
         lines = (tmp_path / "trajectory.csv").read_text().splitlines()
         assert lines[0] == "t,j,n_e,x,xi,T,T_p,fired"
-        assert len(lines) == len(result.trajectory.samples) + 1
+        assert len(lines) == len(result.trajectory) + 1
         first = lines[1].split(",")
         assert first[0] == "0.000000000e+00"
         assert first[1] == "0"
@@ -140,6 +141,23 @@ class TestArtifacts:
         assert "stroke-dasharray" in svg
         assert "<line" in svg  # pellet markers
 
+    def test_svg_draws_the_envelope_that_verify_checks(self, tmp_path, nm_tracking):
+        # from x0 < -alpha the lower bound climbs from x0: drawn flat at
+        # -alpha, it would put the start of x below the bound that passes
+        scenario = replace(nm_tracking, x0=-0.5 * nm_tracking.plant.r)
+        result = run_scenario(scenario, outdir=tmp_path, svg=True)
+        assert result.report.verdicts["envelope"] is True
+        svg = (tmp_path / "plot.svg").read_text()
+        assert svg.count("stroke-dasharray") == 2
+        # the polylines of x, n_e, then the dashed upper and lower bounds; pixel
+        # y grows downwards, so x above the lower bound has the smaller y
+        x_py, _, upper_py, lower_py = ([float(point.split(",")[1]) for point in points.split()]
+                                       for points in re.findall(r'points="([^"]*)"', svg))
+        assert len(x_py) == len(lower_py) == len(upper_py) == len(result.trajectory)
+        assert all(x <= lo for x, lo in zip(x_py, lower_py))
+        assert all(up <= x for x, up in zip(x_py, upper_py))
+        assert lower_py[0] == x_py[0]  # the climb starts at x0
+        assert lower_py[0] > lower_py[-1]
 
     # sdm_windup draws no overlays; nm_gas_gun has 2 samples a tick, so
     # most of its rows are boundary states of the tick loop; a start below

@@ -183,7 +183,7 @@ def test_open_loop_decay_matches_closed_form(plant):
     import math
 
     expected = plant.r - math.exp(-0.5 / plant.tau) * (plant.r - 2e19)
-    got = numeric.samples[-1].state.x
+    got = float(numeric.x[-1])
     assert got == pytest.approx(expected, rel=1e-9)
 
 

@@ -176,8 +176,8 @@ class TestTrajectoryProperties:
         scenario = short_scenario(plant, actuator, ControllerSpec(variant, controller.delta), x0)
         traj = simulate(scenario)
         t_c = actuator.t_c
-        for s in traj.samples:
-            assert s.time.j <= math.floor(s.time.t / t_c + 1e-9) + 1
+        for t, j in zip(traj.t.tolist(), traj.j.tolist()):
+            assert j <= math.floor(t / t_c + 1e-9) + 1
 
     @given(certified_setups())
     @settings(max_examples=100, deadline=None)

@@ -50,7 +50,7 @@ class TestEnvelope:
 
     def test_prefixes_of_passing_run_pass(self, nm_tracking):
         traj, cert = run(nm_tracking)
-        for cut in (3, len(traj.samples) // 2, len(traj.samples)):
+        for cut in (3, len(traj) // 2, len(traj)):
             prefix = Trajectory(traj.t[:cut], traj.j[:cut], traj.x[:cut], traj.xi[:cut],
                                 traj.fired[:cut], traj.plant, traj.controller, traj.actuator)
             ok, _ = check_envelope(prefix, cert)
@@ -118,15 +118,15 @@ class TestContraction:
 class TestWindup:
     def test_plain_sigma_delta_detected(self, sdm_windup):
         traj, _ = run(sdm_windup)
-        assert detect_windup(traj, sdm_windup.controller.delta)
+        assert detect_windup(traj)
 
     def test_reset_variant_clean(self, nm_tracking):
         traj, _ = run(nm_tracking)
-        assert not detect_windup(traj, nm_tracking.controller.delta)
+        assert not detect_windup(traj)
 
     def test_multi_subtraction_variant_clean(self, jm_tracking):
         traj, _ = run(jm_tracking)
-        assert not detect_windup(traj, jm_tracking.controller.delta)
+        assert not detect_windup(traj)
 
 
 class TestZeno:
