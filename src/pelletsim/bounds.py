@@ -110,7 +110,7 @@ def certify(
         reason = "plain sigma-delta is subject to integrator wind-up; no bound is guaranteed"
     elif variant is not Variant.SDM_IC:
         # reset family: NM and SDM_JM share identical conditions and bounds
-        prep_ok = (not actuator.prep_enabled) or actuator.t_prep <= plant.tau_d
+        prep_ok = actuator.t_prep <= plant.tau_d
         feasible = prep_ok and t_c <= tcm and 0.0 < delta <= dm
         if not prep_ok:
             reason = "preparation time exceeds the certified dwell bound"

@@ -121,14 +121,10 @@ class ActuatorSpec:
             # rate limit is t_prep, which therefore must be set
             raise NonPositiveParam("gas_gun mode requires t_prep > 0")
 
-    @property
-    def prep_enabled(self) -> bool:
-        return self.t_prep > 0.0
-
     def prep_ticks(self) -> int:
         """Minimum tick spacing l = ceil(t_prep / t_c) between pellets (1 when
         the preparation gate is disabled or shorter than one tick)."""
-        if not self.prep_enabled:
+        if not self.t_prep > 0.0:
             return 1
         # shave float noise so an exact multiple does not round up
         return max(1, math.ceil(self.t_prep / self.t_c - 1e-9))

@@ -25,6 +25,7 @@ the flow module states.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,6 +82,10 @@ class Scenario:
             raise ValidationError("samples_per_tick must be a positive integer")
         if not isinstance(self.seed_note, (str, type(None))):
             raise ValidationError(f"seed_note must be a string, got {self.seed_note!r}")
+        # simulate holds (n_ticks + 1) x (samples_per_tick + 1) samples of 8 bytes
+        if not math.isfinite(self.t_end / self.actuator.t_c) or (
+                (self.horizon_ticks()[0] + 1) * (self.samples_per_tick + 1) * 8 > sys.maxsize):
+            raise ValidationError(f"t_end={self.t_end!r} is too long at t_c={self.actuator.t_c!r}")
 
     @property
     def x_sat(self) -> float | None:
@@ -176,8 +181,9 @@ def simulate(scenario: Scenario) -> Trajectory:
     )
 
 
-def steady_state_window(traj: Trajectory) -> tuple[float, float]:
-    """The trailing half of the simulated time span, for steady-state metrics."""
+def steady_state_window(traj: Trajectory) -> int:
+    """The first row of the steady-state window, the trailing half of the run:
+    the first row with t >= t_end/2 (the rows are in time order)."""
     if len(traj) == 0:
         raise EmptyTrajectory("cannot take a steady-state window of an empty trajectory")
-    return (traj.t_end * 0.5, traj.t_end)
+    return int(np.searchsorted(traj.t, traj.t_end * 0.5))

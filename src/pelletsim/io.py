@@ -211,7 +211,7 @@ class _Panel:
         )
 
 
-def _write_polyline(fh, px: numfmt.Formatted, py: Callable[[slice], np.ndarray],
+def _write_polyline(fh, px: numfmt.Formatted, py: Callable[[slice], np.ndarray | float],
                     colour: str, dash: str = "") -> None:
     """One polyline through (px, py(rows)), written a block of rows at a time."""
     from . import numfmt
@@ -221,7 +221,8 @@ def _write_polyline(fh, px: numfmt.Formatted, py: Callable[[slice], np.ndarray],
              'points="'.encode("ascii"))
     for lo in range(0, len(px), numfmt.CHUNK):
         rows = slice(lo, lo + numfmt.CHUNK)
-        for block in numfmt.rows(" %.2f,%.2f", (px[rows], py(rows))):
+        x = px[rows]
+        for block in numfmt.rows(" %.2f,%.2f", (x, np.broadcast_to(py(rows), len(x)))):
             fh.write(block if lo else block[1:])  # no space before the first point
     fh.write(b'"/>\n')
 
@@ -235,28 +236,13 @@ def render_svg(traj: Trajectory, cert: Certificate, path: str | Path) -> None:
     ts, xs, r = traj.t, traj.x, traj.plant.r
     t_range = (0.0, traj.t_end)
 
-    # each overlay: a bound, as a float or a function of time, and its colour
-    overlays_x: list[tuple[float | Callable[[np.ndarray], np.ndarray | float], str]] = []
-    if cert.feasible and cert.bound_interval is not None:
-        lower, upper = cert.bound_interval
-        colour = "#8e44ad"
-        if cert.bound_scope == "trajectory":
-            # the envelope check_envelope checks: from x0 <= 0 the lower bound climbs
-            x0, colour = float(xs[0]), "#c0392b"
-            lower = lambda t: bounds.envelope(t, x0, traj.plant)[0]
-            upper = lambda t: bounds.envelope(t, x0, traj.plant)[1]
-        overlays_x += [(upper, colour), (lower, colour)]
-
-    def over(bound, rows: slice) -> np.ndarray:
-        """A bound at a block of rows."""
-        t = ts[rows]
-        return np.broadcast_to(bound(t) if callable(bound) else bound, t.shape)
-
+    # the bound is drawn on the rows it bounds, from `first` on (slice(0): `first` alone)
+    first = verify.certified_bound(traj, cert, slice(0))[0] if cert.feasible else len(traj)
     x_min, x_max = float(xs.min()), float(xs.max())
-    for bound, _ in overlays_x:
-        for lo in range(0, len(traj), numfmt.CHUNK):
-            values = over(bound, slice(lo, lo + numfmt.CHUNK))
-            x_min, x_max = min(x_min, float(values.min())), max(x_max, float(values.max()))
+    for lo in range(0, len(traj) - first, numfmt.CHUNK):
+        _, lower, upper = verify.certified_bound(traj, cert, slice(lo, lo + numfmt.CHUNK))
+        x_min = min(x_min, float(np.min(lower)), float(np.min(upper)))
+        x_max = max(x_max, float(np.max(lower)), float(np.max(upper)))
     panel_x = _Panel(60, 20, 800, 250, t_range, (x_min, x_max))
     # r - x is monotone in x, rounding included: its extremes are at those of x
     panel_n = _Panel(60, 310, 800, 250, t_range, (r - float(xs.max()), r - float(xs.min())))
@@ -274,8 +260,11 @@ def render_svg(traj: Trajectory, cert: Certificate, path: str | Path) -> None:
         ]).encode("utf-8"))
         _write_polyline(fh, px, lambda rows: panel_x.py(xs[rows]), "#1f77b4")
         _write_polyline(fh, px, lambda rows: panel_n.py(r - xs[rows]), "#2ca02c")
-        for bound, colour in overlays_x:
-            _write_polyline(fh, px, lambda rows: panel_x.py(over(bound, rows)), colour, dash="6,4")
+        colour = "#c0392b" if cert.bound_scope == "trajectory" else "#8e44ad"
+        for half in (2, 1) if cert.feasible else ():  # upper, then lower
+            _write_polyline(fh, px[first:],
+                            lambda rows: panel_x.py(verify.certified_bound(traj, cert, rows)[half]),
+                            colour, dash="6,4")
         y1, y2 = panel_x.y0 + panel_x.h - 8, panel_x.y0 + panel_x.h
         marker = (f'<line x1="%.2f" y1="{y1}" x2="%.2f" y2="{y2}" stroke="#e67e22" '
                   'stroke-width="1"/>\n')

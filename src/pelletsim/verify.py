@@ -47,29 +47,34 @@ def _first(bad: np.ndarray) -> int | None:
     return int(np.argmax(bad)) if bad.any() else None
 
 
-def check_envelope(traj: Trajectory, cert: Certificate) -> tuple[bool | None, CheckWitness | None]:
-    """Every sample inside the certified bounds (lower exclusive, upper
-    inclusive, relative slack 1e-9).  Not applicable without a feasible
-    certificate; a steady-state-only certificate is checked on the trailing
-    window instead of the whole trajectory."""
-    if not cert.feasible or cert.bound_interval is None:
-        return None, None
-    t, x = traj.t, traj.x
-    eps = _REL_SLACK * traj.plant.r
+def certified_bound(traj: Trajectory, cert: Certificate, rows: slice = slice(None)
+                    ) -> tuple[int, float | np.ndarray, float | np.ndarray]:
+    """A feasible certificate's claim: the first row it bounds, and its (lower,
+    upper) bound at `rows` of the rows from there on, as bounds.envelope gives
+    them.  At trajectory scope that is every row, under the envelope from x[0];
+    at steady_state scope the steady-state window, under the widened interval."""
+    first, (lower, upper) = 0, cert.bound_interval
     if cert.bound_scope == "steady_state":
-        lower, upper = cert.bound_interval
-        t_start, _ = steady_state_window(traj)
-        outside = (t >= t_start) & ~((lower - eps < x) & (x <= upper + eps))
-        note = "steady-state bound"
+        first = steady_state_window(traj)
     else:
-        lower, upper = bounds.envelope(t, float(x[0]), traj.plant)
-        outside = ~((lower - eps < x) & (x <= upper + eps))
-        note = "envelope"
-    i = _first(outside)
+        lower, upper = bounds.envelope(traj.t[rows], float(traj.x[0]), traj.plant)
+    return first, lower, upper
+
+
+def check_envelope(traj: Trajectory, cert: Certificate) -> tuple[bool | None, CheckWitness | None]:
+    """Every row the certificate bounds inside its bound (lower exclusive, upper
+    inclusive, relative slack 1e-9).  Not applicable without a feasible one."""
+    if not cert.feasible:
+        return None, None
+    first, lower, upper = certified_bound(traj, cert)
+    x, eps = traj.x[first:], _REL_SLACK * traj.plant.r
+    i = _first(~((lower - eps < x) & (x <= upper + eps)))
     if i is None:
         return True, None
-    lower_i, upper_i = (float(np.broadcast_to(b, t.shape)[i]) for b in (lower, upper))
-    return False, CheckWitness(float(t[i]), int(traj.j[i]), float(x[i]), lower_i, upper_i, note)
+    lower_i, upper_i = (float(np.broadcast_to(b, x.shape)[i]) for b in (lower, upper))
+    note = "envelope" if cert.bound_scope == "trajectory" else "steady-state bound"
+    return False, CheckWitness(float(traj.t[first + i]), int(traj.j[first + i]), float(x[i]),
+                               lower_i, upper_i, note)
 
 
 def check_zeno(traj: Trajectory) -> tuple[bool, CheckWitness | None]:
@@ -206,9 +211,8 @@ class Metrics:
 
 
 def compute_metrics(traj: Trajectory) -> Metrics:
-    t_start, _ = steady_state_window(traj)
     t, x = traj.t, traj.x
-    window = x[t >= t_start - 1e-9 * traj.t_end]
+    window = x[steady_state_window(traj):]
     alpha, r = traj.plant.alpha, traj.plant.r
     inside = (x > -alpha) & (x <= alpha + _REL_SLACK * r)
     settling: float | None

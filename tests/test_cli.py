@@ -104,6 +104,27 @@ def test_non_finite_initial_state_or_horizon_is_usage_error(section, field, valu
     assert err.startswith("error:") and field in err
 
 
+# horizons rejected before simulate sizes its arrays: t_end/t_c beyond the
+# float range, or more samples than an array can hold
+@pytest.mark.parametrize("argv, sim, actuator", [
+    (["verify"], {"t_end": 1e300}, {}),
+    (["certify"], {"t_end": 1e300}, {}),
+    (["verify"], {"t_end": 1e300}, {"t_c": 1e-10}),
+    (["compare-oracle"], {"t_end": 1e300}, {"t_c": 1e-10}),
+    (["sweep", "--axis", "t_c", "--values", "1e-300"], {}, {}),
+])
+def test_a_horizon_no_array_can_hold_is_usage_error(argv, sim, actuator, tmp_path, capsys):
+    doc = json.loads(Path(NM).read_text())
+    doc["sim"].update(sim)
+    doc["actuator"].update(actuator)
+    bad = tmp_path / "long.json"
+    bad.write_text(json.dumps(doc))
+    outdir = ["-o", str(tmp_path / "out")] if argv[0] in ("verify", "sweep") else []
+    assert main([argv[0], str(bad), *argv[1:], *outdir]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "t_end" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("digits", [401, 5000])
 def test_integer_beyond_float_range_is_usage_error(digits, tmp_path, capsys):
     # 401 digits parse as a Python int that float() cannot hold; 5000 digits

@@ -180,8 +180,25 @@ def test_scenario_rejects_fields_of_the_wrong_type(nm_tracking, field, value):
 
 
 def test_steady_state_window_arithmetic(nm_tracking):
+    # the window is the trailing half of (0, 1.0]: its first row is the first
+    # at or after t = 0.5
     traj = simulate(nm_tracking)
-    assert steady_state_window(traj) == pytest.approx((0.5, 1.0), rel=1e-12)
+    first = steady_state_window(traj)
+    assert traj.t_end == pytest.approx(1.0, rel=1e-12)
+    assert traj.t[first] >= 0.5 * traj.t_end > traj.t[first - 1]
+    assert traj.t[first] == pytest.approx(0.5, rel=1e-12)
+
+
+@pytest.mark.parametrize("t_end, t_c, samples_per_tick", [
+    (float.fromhex("0x1.fffffffffffffp+1023"), 1e-10, 10),  # t_end/t_c overflows
+    (1e300, 1 / 70, 10),  # more ticks than an array has rows
+    (1.0, 1e-300, 1),
+    (1e17, 1.0, 2**60),  # few ticks, too many samples
+])
+def test_scenario_rejects_a_horizon_no_array_can_hold(nm_tracking, t_end, t_c, samples_per_tick):
+    with pytest.raises(ValidationError, match="t_end"):
+        replace(nm_tracking, t_end=t_end, actuator=replace(nm_tracking.actuator, t_c=t_c),
+                samples_per_tick=samples_per_tick)
 
 
 def test_steady_state_window_rejects_empty(nm_tracking):

@@ -60,7 +60,7 @@ GOLDEN_SVG = {
     "nm_small_threshold": "d39940576f96bf5cf99f1b919dfa77d23325f916c2a81873a302b1fcb4427161",
     "nm_tracking": "8184886f621159ed8128f2794fd997cca2ed6f6be75c5b999e11ee18e156d6ec",
     "sdm_ic_fast": "9ec13781b4b0655c4d6b1ffe08e70ed23545e0469c1234f75b6c2f95bd7a3d29",
-    "sdm_ic_slow": "73d9259f4094564f5bfaaabf4463de6149989deae5840e0e70163acd421e7f0f",
+    "sdm_ic_slow": "9d7e38f434117b776225a09d89188486565fecccca472c4961f809b52cf25d0f",
     "sdm_jm": "e200b013412839f36fc87dfb40f3f7eaa0e4823b0ae1a2f008a37945ae39d1bd",
     "sdm_windup": "e7f7e037c90ee33ee90dcb2bc7785e8b422eb96298b61834126228b8a14deb86",
 }

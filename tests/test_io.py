@@ -4,6 +4,7 @@ import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pelletsim import (
@@ -158,6 +159,23 @@ class TestArtifacts:
         assert all(up <= x for x, up in zip(x_py, upper_py))
         assert lower_py[0] == x_py[0]  # the climb starts at x0
         assert lower_py[0] > lower_py[-1]
+
+    def test_svg_draws_the_steady_state_bound_on_the_window_only(self, tmp_path):
+        # sdm_ic_slow starts far above its widened bound, which verify checks
+        # from t_end/2 on: the bound is drawn on those rows, not before
+        result = run_scenario(load_scenario(SCENARIO_DIR / "sdm_ic_slow.json"), tmp_path, svg=True)
+        assert result.certificate.bound_scope == "steady_state"
+        traj = result.trajectory
+        first = int(np.argmax(traj.t >= 0.5 * traj.t_end))  # the window's first row
+        svg = (tmp_path / "plot.svg").read_text()
+        dashed = re.findall(r'stroke-dasharray="6,4" points="([^"]*)"', svg)
+        assert len(dashed) == 2
+        start = f"{60 + traj.t[first] / traj.t_end * 800:.2f}"
+        middle = 60 + 0.5 * 800  # the x pixel of t_end/2
+        for points in dashed:
+            px = [point.split(",")[0] for point in points.split()]
+            assert px[0] == start and len(px) == len(traj) - first
+            assert min(map(float, px)) >= middle
 
     # sdm_windup draws no overlays; nm_gas_gun has 2 samples a tick, so
     # most of its rows are boundary states of the tick loop; a start below

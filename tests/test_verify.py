@@ -1,3 +1,6 @@
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 from pelletsim import (
@@ -63,6 +66,37 @@ class TestEnvelope:
         assert ok is True
         # the steady error exceeds alpha here, only the widened bound holds
         assert compute_metrics(traj).max_x_steady > traj.plant.alpha
+
+    def test_metrics_read_the_rows_the_steady_state_bound_is_checked_on(self, ic_slow):
+        # t_end = 1 + 5e-11 puts the two rows at t = 0.5 just before t_end/2:
+        # outside the window, for the check and the metrics alike
+        traj, cert = run(replace(ic_slow, t_end=1.0 + 5e-11))
+        steady = traj.x[traj.t >= 0.5 * traj.t_end]
+        assert np.count_nonzero(traj.t == 0.5) == 2 and len(steady) == 386
+        m = compute_metrics(traj)
+        assert (m.min_x_steady, m.max_x_steady, m.mean_x_steady) == (
+            steady.min(), steady.max(), steady.mean())
+        assert check_envelope(traj, cert) == (True, None)
+
+    def test_a_row_just_before_the_window_is_neither_checked_nor_measured(self, ic_slow):
+        # the row at t = 0.5 - 1e-10 lies outside the widened bound; it is
+        # not in the window, so the check passes and no metric sees it
+        _, cert = run(ic_slow)
+        lower, upper = cert.bound_interval
+        traj = Trajectory([0.0, 0.5 - 1e-10, 0.5, 1.0], [0, 0, 0, 0], [0.0, 2 * upper, upper, 0.0],
+                          [0.0] * 4, [False] * 4, ic_slow.plant, ic_slow.controller,
+                          ic_slow.actuator)
+        assert check_envelope(traj, cert) == (True, None)
+        m = compute_metrics(traj)
+        assert (m.min_x_steady, m.max_x_steady, m.mean_x_steady) == (0.0, upper, upper / 2)
+        # and a row in the window that lies outside the bound fails the check there
+        outside = Trajectory(traj.t, traj.j, [0.0, 0.0, 2 * upper, 0.0], traj.xi, traj.fired,
+                             traj.plant, traj.controller, traj.actuator)
+        ok, witness = check_envelope(outside, cert)
+        assert ok is False
+        assert (witness.t, witness.value, witness.lower, witness.upper) == (
+            0.5, 2 * upper, lower, upper)
+        assert witness.note == "steady-state bound"
 
 
 class TestDwell:
