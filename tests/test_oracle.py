@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 from dataclasses import replace
@@ -47,6 +48,63 @@ def rk4_sequential(x0, xi0, dt, plant, x_sat, n_steps):
         xi_increments.append(h / 6.0 * (k1s + 2.0 * k2s + 2.0 * k3s + k4s))
         x += h / 6.0 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
     return x, math.fsum(xi_increments)
+
+
+# sha256 of simulate_numeric's t, j, x, xi and fired bytes on every shipped
+# scenario at 10**3 and 10**6 RK4 steps per tick, as the oracle computed them
+# before its clipped sums lost their per-interval closures: a change to the
+# oracle that moves any bit of any column fails here
+ORACLE_GOLDEN = {
+    "nm_gas_gun": (
+        "c83ecd4e73203fe0951f55c49a18cde1f9b4bc20937d6718a9b73fd8ed69bc22",
+        "de4d7ec7b13dac7cf34029b5ffa906c492b076bdc481e450874f44668f9a73f3",
+    ),
+    "nm_prep_gate": (
+        "7b5a8bc2090bb78b93d10b802c57b3afb4deeeda484dbb5a47a3fd2b785f7e3d",
+        "ba54d87d9d7a53cfdc5994e817b53a70e85ee506d470af4f6d528fe052981b50",
+    ),
+    "nm_small_threshold": (
+        "7833d751077f042eec04f660db8ba4768e3bb0235817f8bfab0bddc95c04c390",
+        "7b254058d7a0fa4d41e36aef5d4b113fca9b676717eed5fc3ca5b374f656f738",
+    ),
+    "nm_tracking": (
+        "fe54782380bf3182d52162467dbac441f297155f77e3ddc70bac359b818cc4c2",
+        "3f18880352dcb920bedcbadeda5ce9614a558b2e29a1e29cd8578eb2b39d5810",
+    ),
+    "sdm_ic_fast": (
+        "b8002bbf4b3afc789c25909dcce7e1bf24da7f9738a6d806a9aebce3619d7fa9",
+        "2c7176fceb3c905bffb6d412311bb05f2451e29413b08c1c66726f47edbbe869",
+    ),
+    "sdm_ic_slow": (
+        "f794ba407357e951a9fdc25384fe9ce97aec86d338b7599f3377fd949a581d9b",
+        "ed3e1ba0feb492ef783a07de81e6f08a383c95eab363aff396b977c585c600b3",
+    ),
+    "sdm_jm": (
+        "1832b2bd68c1bdf0c04c1a1b1e6d40c007cf1a1e492347a9c560ec17dcf2945a",
+        "2ea6af15abbab0f8b928feec37c320476e851ee1aa5b4f301de1114a660024f2",
+    ),
+    "sdm_windup": (
+        "e2a6288ce26cdfc26653204670d73c62fdbe75d3b14b1a43097dd7fc198eb0e0",
+        "16e131618f5a01929fac9082fe81aef37e239f4394eb5d2b141611de48d69ecc",
+    ),
+}
+
+
+def test_every_shipped_scenario_has_an_oracle_digest():
+    assert sorted(p.stem for p in SCENARIO_DIR.glob("*.json")) == sorted(ORACLE_GOLDEN)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_GOLDEN))
+def test_oracle_columns_match_golden_digests(name):
+    scenario = replace(load_scenario(SCENARIO_DIR / f"{name}.json"), samples_per_tick=1)
+    digests = []
+    for n_steps in (10**3, 10**6):
+        numeric = simulate_numeric(scenario, n_steps)
+        digest = hashlib.sha256()
+        for column in (numeric.t, numeric.j, numeric.x, numeric.xi, numeric.fired):
+            digest.update(column.tobytes())
+        digests.append(digest.hexdigest())
+    assert tuple(digests) == ORACLE_GOLDEN[name]
 
 
 @st.composite
