@@ -62,9 +62,11 @@ def delta_max(plant: PlantParams, t_c: float, variant: Variant, l: int = 1) -> f
 
 
 def r_max(plant: PlantParams, t_c: float, l: int = 1) -> float:
-    """Highest reference the actuator can sustain with pellets of size alpha."""
-    growth = math.exp(max(l, 1) * t_c / plant.tau)
-    return growth / (growth - 1.0) * plant.alpha
+    """Highest reference the actuator can sustain with pellets of size alpha,
+    alpha*e**y/(e**y - 1) with y = l*t_c/tau; expm1 keeps the digits of
+    e**y - 1 where y is small."""
+    y = max(l, 1) * t_c / plant.tau
+    return math.exp(y) / math.expm1(y) * plant.alpha
 
 
 def envelope(t, x0: float, plant: PlantParams):

@@ -83,6 +83,9 @@ class PlantParams:
             raise RNotAboveAlpha(
                 f"reference r={self.r!r} must exceed pellet increment alpha={self.alpha!r}"
             )
+        # the flow scales r - x by tau
+        if not math.isfinite(self.tau * self.r):
+            raise ValidationError(f"tau={self.tau!r} times r={self.r!r} overflows a float")
 
     @classmethod
     def from_pellet(cls, tau: float, r: float, m_p: float, volume: float) -> PlantParams:
@@ -120,6 +123,9 @@ class ActuatorSpec:
             # for a gas gun t_c is merely the sampling period; the physical
             # rate limit is t_prep, which therefore must be set
             raise NonPositiveParam("gas_gun mode requires t_prep > 0")
+        # prep_ticks counts t_prep in whole ticks
+        if not math.isfinite(self.t_prep / self.t_c):
+            raise ValidationError(f"t_prep={self.t_prep!r} is too long at t_c={self.t_c!r}")
 
     def prep_ticks(self) -> int:
         """Minimum tick spacing l = ceil(t_prep / t_c) between pellets (1 when

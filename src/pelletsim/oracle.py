@@ -5,26 +5,30 @@ jump logic applied at tick boundaries.  Sharing the jump map is deliberate:
 this module validates the closed-form flow integration, while the jump
 logic is pinned by hand-computed cases in its own tests.  The RK4 stages
 that feed xi are summed in closed form over each run of steps that the
-clipping treats alike, so an interval costs O(1) without clipping and a
-bisection of O(log n_steps) per run boundary with it, whatever the step
-count.  Kinks of the clipped integrator input are handled only by taking
-enough steps; no event localization is attempted.  Not for production use.
+clipping treats alike, so an interval costs O(1) without clipping; with it,
+a run boundary costs the step guessed from the real crossing plus a check
+of the step before it, and a bisection of O(log n_steps) only where that
+guess misses, whatever the step count.  Kinks of the clipped integrator
+input are handled only by taking enough steps; no event localization is
+attempted.  Not for production use.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from typing import Callable, NamedTuple
+from typing import NamedTuple
+
+import numpy as np
 
 from .controllers import tick_jump
 from .core import HybridState, PlantParams, Trajectory
 from .engine import Scenario
 
 MIN_SUBSTEPS = 100
-# Taylor coefficients of (e**y - 1 - y)/y**2, highest first; 15 terms reach
-# double precision for |y| <= 0.5
-_PHI_TAYLOR = tuple(1.0 / math.factorial(k + 2) for k in reversed(range(15)))
+# Taylor coefficients 1/k! of (e**y - 1 - y)/y**2 = sum(y**(k - 2)/k!), k = 16
+# down to 2; 15 terms reach double precision for |y| <= 0.5
+_PHI_TAYLOR = tuple(1.0 / math.factorial(k) for k in range(16, 1, -1))
 
 
 class StepTooCoarse(ValueError):
@@ -35,28 +39,28 @@ def _phi(y: float) -> float:
     """(e**y - 1 - y)/y**2, without its cancellation at small |y|."""
     if abs(y) > 0.5:
         return (math.expm1(y) - y) / (y * y)
-    acc = 0.0
-    for c in _PHI_TAYLOR:
-        acc = acc * y + c
-    return acc
+    c16, c15, c14, c13, c12, c11, c10, c9, c8, c7, c6, c5, c4, c3, c2 = _PHI_TAYLOR
+    return (((((((((((((c16 * y + c15) * y + c14) * y + c13) * y + c12) * y + c11) * y + c10)
+            * y + c9) * y + c8) * y + c7) * y + c6) * y + c5) * y + c4) * y + c3) * y + c2
 
 
-def _first_true(pred: Callable[[int], bool], lo: int, hi: int, guess: float) -> int:
-    """Smallest n in [lo, hi] with pred(n), for pred monotone in n and true
-    at hi: ceil(guess) when pred turns true there, else by bisection."""
-    n = math.ceil(guess) if lo < guess < hi else lo
-    if not pred(n):
-        lo = n + 1
-    elif n == lo or not pred(n - 1):
-        return n
-    else:
-        hi = n - 1
+def _first_reached(p: float, e0: float, r: float, log_g: float, level: float,
+                   lo: int, hi: int, guess: float | None = None) -> int:
+    """Smallest n in [lo, hi] at which the stage p*(e0*g**n) + r, rising in
+    n, has reached level, which it has at hi: ceil(guess) when the stage
+    reaches level there and not one step before, else by bisection.  The
+    guess defaults to the real crossing."""
+    if guess is None:
+        ratio = (level - r) / (p * e0)  # g**n at the real crossing
+        guess = math.log(ratio) / log_g if ratio > 0.0 else math.nan
+    n = first = math.ceil(guess) if lo < guess < hi else lo
     while lo < hi:
-        n = (lo + hi) // 2
-        if pred(n):
+        if p * (e0 * math.exp(n * log_g)) + r >= level:
             hi = n
         else:
             lo = n + 1
+        # the step before a first probe that reached level, then bisection
+        n = n - 1 if n == hi == first else (lo + hi) // 2
     return lo
 
 
@@ -126,12 +130,13 @@ def integrate_flow_rk4(
     x follows r + (x0 - r)*g**n (_rk4_steps).  xi sums the RK4 stages
     clipped to [0, x_sat].  Each stage is monotone in n, so the clipping
     splits the steps into at most three runs: constant 0, unclipped, and
-    constant x_sat.  Their boundaries are found by bisection on the stage
-    value, and an unclipped run is a geometric sum.  An interval without
-    clipping costs O(1) for all four stages together, one with clipping
-    O(log n_steps) per run boundary.  The result is the fixed-step RK4
-    solution, not the exact flow: where a stage meets 0 or x_sat inside a
-    step, only the step count bounds the error of its kink.
+    constant x_sat.  Their boundaries are guessed from the real crossing
+    and checked, or bisected for on a miss (_first_reached), and an
+    unclipped run is a geometric sum.  An interval without clipping costs
+    O(1) for all four stages together, one with clipping two stage values
+    per run boundary, or O(log n_steps) on a miss.  The result is the
+    fixed-step RK4 solution, not the exact flow: where a stage meets 0 or
+    x_sat inside a step, only the step count bounds the error of its kink.
     """
     (h, log_g, g_minus_1, phi_step, stages, (p_min, p_max), weighted_p,
      weighted_p_minus_1, g_last, g_end, h_excess) = _rk4_steps(dt, plant.tau, n_steps)
@@ -156,30 +161,22 @@ def integrate_flow_rk4(
         return x_end, xi0 + h_total / 6.0
 
     last = n_steps - 1
-
-    def first_past(p: float, v0: float, v1: float, level: float, rising: bool, lo: int) -> int:
-        """First step n >= lo at which the stage p*(e0*g**n) + r, running
-        from v0 to v1, has reached level; n_steps if it never does."""
-        if (v0 >= level) if rising else (v0 <= level):
-            return lo
-        if (v1 < level) if rising else (v1 > level):
-            return n_steps
-
-        def reached(n: int) -> bool:
-            v = p * (e0 * math.exp(n * log_g)) + r
-            return v >= level if rising else v <= level
-
-        ratio = (level - r) / (p * e0)  # g**n at the real crossing
-        guess = math.log(ratio) / log_g if ratio > 0.0 else math.nan
-        return _first_true(reached, max(lo, 1), last, guess)
-
     h_total = 0.0
     runs: dict[tuple[int, int], tuple[float, float, float]] = {}
     for weight, p, p_minus_1 in stages:
         v0, v1 = p * e0 + r, p * e_last + r
         rising = v0 <= v1  # rising: clipped at 0, unclipped, clipped at x_sat
-        start = first_past(p, v0, v1, 0.0 if rising else top, rising, 0)
-        stop = first_past(p, v0, v1, top if rising else 0.0, rising, start)
+        # the first steps at which the stage reaches the near end of [0, x_sat],
+        # then the far one, n_steps if never; a falling stage is searched as
+        # its negation, which rounds alike
+        if rising:
+            sp, sr, near, far = p, r, 0.0, top
+        else:
+            sp, sr, near, far, v0, v1 = -p, -r, -top, 0.0, -v0, -v1
+        start = 0 if v0 >= near else n_steps if v1 < near else (
+            _first_reached(sp, e0, sr, log_g, near, 1, last))
+        stop = start if v0 >= far else n_steps if v1 < far else (
+            _first_reached(sp, e0, sr, log_g, far, start or 1, last))
         n_sat = n_steps - stop if rising else start
         if n_sat:
             h_total += weight * x_sat * (h * n_sat)
@@ -215,32 +212,34 @@ def simulate_numeric(scenario: Scenario, n_steps: int) -> Trajectory:
         raise StepTooCoarse(f"{n_steps} substeps of t_c={t_c!r} are too short for a float step")
     x_sat = scenario.x_sat
 
-    x, xi = scenario.x0, scenario.xi0
-    ts, js, xs, xis, fired = [0.0], [0], [x], [xi], [False]
     n_ticks, remainder = scenario.horizon_ticks()
+    # row 0 is the initial state, rows 2k - 1 and 2k the pre- and post-jump
+    # states of tick k, and a partial last interval adds one more row
+    rows = 2 * n_ticks + 1 + (remainder > 0.0)
+    x, xi = scenario.x0, scenario.xi0
+    xs, xis, fired = [x] * rows, [xi] * rows, [False] * rows
     since_fire = 0  # whole ticks since the last pellet, or since t = 0
 
-    for k in range(1, n_ticks + 1):
+    for i in range(1, 2 * n_ticks, 2):
         x, xi = integrate_flow_rk4(x, xi, t_c, plant, x_sat, n_steps)
         xi = max(0.0, xi)
         since_fire += 1
         outcome = tick_jump(HybridState(x, xi), since_fire, plant, controller, actuator)
-        ts += [t_c * k, t_c * k]
-        js += [k - 1, k]
-        xs += [x, outcome.state_after.x]
-        xis += [xi, outcome.state_after.xi]
-        fired += [False, outcome.fired]
+        xs[i], xis[i] = x, xi
         x, xi = outcome.state_after.x, outcome.state_after.xi
+        xs[i + 1], xis[i + 1] = x, xi
         if outcome.fired:
+            fired[i + 1] = True
             since_fire = 0
 
     if remainder > 0.0:
         n_tail = max(1, round(n_steps * remainder / t_c))
         x, xi = integrate_flow_rk4(x, xi, remainder, plant, x_sat, n_tail)
-        ts.append(scenario.t_end)
-        js.append(n_ticks)
-        xs.append(x)
-        xis.append(max(0.0, xi))
-        fired.append(False)
+        xs[-1], xis[-1] = x, max(0.0, xi)
 
+    # row i is at tick ceil(i/2), after floor(i/2) jumps
+    row = np.arange(rows)
+    ts, js = t_c * ((row + 1) // 2), row // 2
+    if remainder > 0.0:
+        ts[-1] = scenario.t_end
     return Trajectory(ts, js, xs, xis, fired, plant, controller, actuator)

@@ -82,6 +82,17 @@ class TestRMax:
     def test_monotone_in_prep_ticks(self, plant):
         assert r_max(plant, 1 / 70, l=2) < r_max(plant, 1 / 70, l=1)
 
+    def test_fast_actuator_keeps_every_digit(self, plant):
+        # alpha*e**y/(e**y - 1) = alpha*(1/y + 1/2 + y/12 - ...); e**y - 1
+        # rounded from e**y keeps only about 4 digits at y = 1e-12
+        t_c = 1e-12 * plant.tau
+        y = t_c / plant.tau
+        assert r_max(plant, t_c) == pytest.approx(plant.alpha * (1.0 / y + 0.5), rel=1e-12)
+
+    def test_finite_where_e_to_the_y_rounds_to_1(self, plant):
+        # y = t_c/tau = 1e-16: e**y rounds to 1.0, so e**y - 1 would be 0
+        assert math.isfinite(r_max(plant, 1e-17))
+
 
 class TestEnvelope:
     def test_initial_upper_bound(self, plant):

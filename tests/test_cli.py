@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -123,6 +124,40 @@ def test_a_horizon_no_array_can_hold_is_usage_error(argv, sim, actuator, tmp_pat
     assert main([argv[0], str(bad), *argv[1:], *outdir]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "t_end" in err and "Traceback" not in err
+
+
+def _nm_with(sections, tmp_path):
+    """Path of a copy of nm_tracking.json with the given fields replaced."""
+    doc = json.loads(Path(NM).read_text())
+    for section, fields in sections.items():
+        doc[section].update(fields)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+# spec values whose products or ratios leave the float range: tau*r, which
+# the flow scales r - x by, and t_prep/t_c, which prep_ticks counts
+@pytest.mark.parametrize("verb", ["certify", "verify"])
+@pytest.mark.parametrize("sections, quantity", [
+    ({"plant": {"tau": 1e308}}, "tau"),
+    ({"actuator": {"t_c": 1e-300, "t_prep": 1e300}, "sim": {"t_end": 1e-299}}, "t_prep"),
+])
+def test_spec_overflow_is_usage_error(verb, sections, quantity, tmp_path, capsys):
+    outdir = ["-o", str(tmp_path / "out")] if verb == "verify" else []
+    assert main([verb, _nm_with(sections, tmp_path), *outdir]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and quantity in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("sections", [
+    {"actuator": {"t_c": 1e-18}, "sim": {"t_end": 1e-17}},
+    {"plant": {"tau": 1e100}},
+])
+def test_tick_short_against_tau_certifies(sections, tmp_path, capsys):
+    # l*t_c/tau below about 1e-16, where e**y - 1 rounds to 0
+    assert main(["certify", _nm_with(sections, tmp_path)]) == 0
+    assert math.isfinite(json.loads(capsys.readouterr().out)["r_max"])
 
 
 @pytest.mark.parametrize("digits", [401, 5000])

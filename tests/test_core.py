@@ -61,6 +61,20 @@ def test_gas_gun_requires_prep_time():
     ActuatorSpec(t_c=0.001, t_prep=0.02, mode=ActuatorMode.GAS_GUN)
 
 
+def test_tau_times_r_beyond_the_float_range_rejected():
+    # the flow's tau*(r - x) would be inf, and with it every membrane increment
+    with pytest.raises(ValidationError, match="overflows"):
+        PlantParams(tau=1e308, r=5e19, alpha=1e19)
+    PlantParams(tau=1e288, r=5e19, alpha=1e19)
+
+
+def test_prep_time_beyond_the_float_range_of_ticks_rejected():
+    # prep_ticks could not count t_prep/t_c = inf ticks
+    with pytest.raises(ValidationError, match="too long"):
+        ActuatorSpec(t_c=1e-300, t_prep=1e300)
+    assert ActuatorSpec(t_c=1e-300, t_prep=1e7).prep_ticks() > 10**306
+
+
 def test_alpha_from_pellet_mass_and_volume():
     plant = PlantParams.from_pellet(tau=0.1, r=5e19, m_p=1.3e20, volume=13.0)
     assert plant.alpha == pytest.approx(1e19, rel=1e-15)

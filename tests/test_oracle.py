@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from pelletsim import (PlantParams, StepTooCoarse, Variant, compare, flow_x, flow_xi, simulate,
                        simulate_numeric)
 from pelletsim.io import load_scenario
-from pelletsim.oracle import _first_true, integrate_flow_rk4
+from pelletsim.oracle import _first_reached, integrate_flow_rk4
 
 from conftest import make_scenario
 
@@ -182,10 +182,14 @@ def test_a_billion_steps_agree_with_the_exact_flow(case):
 
 @pytest.mark.parametrize("hi, answer", [(1, 1), (2, 1), (2, 2), (7, 3), (1000, 1), (1000, 999),
                                         (10**30, 12345)])
-def test_first_true_from_any_guess(hi, answer):
+def test_first_reached_from_any_guess(hi, answer):
+    # the stage r - e**(-n/1000) rises with n, and first reaches its own
+    # value at step answer there
+    p, e0, r, log_g = 1.0, -1.0, 3.0, -1e-3
+    level = p * (e0 * math.exp(answer * log_g)) + r
     for guess in (math.nan, -5.0, 0.3, answer - 1.5, answer - 0.5, float(answer), answer + 0.5,
                   answer + 40.0, hi + 10.0, 1e40):
-        assert _first_true(lambda n: n >= answer, 1, hi, guess) == answer
+        assert _first_reached(p, e0, r, log_g, level, 1, hi, guess) == answer
 
 
 @pytest.mark.parametrize("n_steps", [10**6, 10**12])
