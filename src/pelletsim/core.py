@@ -287,10 +287,16 @@ class Certificate:
 
 
 def validate(plant: PlantParams, actuator: ActuatorSpec, controller: ControllerSpec) -> None:
-    """Re-run the three specs' own construction checks; raises on violation.
+    """Re-run the three specs' own construction checks, and the one check
+    across them; raises on violation.
 
-    Constructors already enforce these; Scenario and certify re-run them as
-    cheap insurance, without a second copy of any check.
+    Constructors already enforce their own; Scenario and certify re-run them
+    as cheap insurance, without a second copy of any check.  Across them:
+    t_c/tau must not round to 0, where r_max = alpha*e**y/(e**y - 1), with
+    y = l*t_c/tau, would divide by zero.
     """
     for spec in (plant, actuator, controller):
         spec.__post_init__()
+    if not actuator.t_c / plant.tau > 0.0:
+        raise ValidationError(f"t_c={actuator.t_c!r} is too short against tau={plant.tau!r}: "
+                              "t_c/tau rounds to 0")

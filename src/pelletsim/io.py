@@ -20,7 +20,6 @@ import csv
 import json
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -184,71 +183,128 @@ def write_trajectory_csv(traj: Trajectory, path: str | Path) -> None:
 
 # --- minimal SVG rendering -------------------------------------------------
 
-class _Panel:
-    """Maps (t, y) columns onto a pixel rectangle."""
+# the time axis, shared by both panels: left edge and width in pixels
+_LEFT, _WIDTH = 60, 800
 
-    def __init__(self, x0, y0, width, height, t_range, y_range):
-        self.x0, self.y0, self.w, self.h = x0, y0, width, height
-        self.t_min, self.t_max = t_range
+
+def _px(t, t_end: float):
+    """The x pixel of time t, on an axis from 0 to t_end."""
+    return _LEFT + t / t_end * _WIDTH
+
+
+class _Panel:
+    """Maps values onto the pixel rows of a rectangle on the time axis."""
+
+    def __init__(self, y0, height, y_range):
+        self.y0, self.h = y0, height
         lo, hi = y_range
-        if hi - lo <= 0.0:
-            hi = lo + 1.0
+        if hi - lo <= 0.0:  # a flat series, drawn at the foot of a band that holds it
+            hi = lo + max(1.0, abs(lo))
         pad = 0.05 * (hi - lo)
         self.y_min, self.y_max = lo - pad, hi + pad
-
-    def px(self, t):
-        return self.x0 + (t - self.t_min) / (self.t_max - self.t_min) * self.w
 
     def py(self, y):
         return self.y0 + self.h - (y - self.y_min) / (self.y_max - self.y_min) * self.h
 
     def frame(self, label):
         return (
-            f'<rect x="{self.x0}" y="{self.y0}" width="{self.w}" height="{self.h}" '
+            f'<rect x="{_LEFT}" y="{self.y0}" width="{_WIDTH}" height="{self.h}" '
             'fill="none" stroke="#444"/>'
-            f'<text x="{self.x0 + 4}" y="{self.y0 + 14}" font-size="12" '
+            f'<text x="{_LEFT + 4}" y="{self.y0 + 14}" font-size="12" '
             f'font-family="sans-serif">{label}</text>'
         )
 
 
-def _write_polyline(fh, px: numfmt.Formatted, py: Callable[[slice], np.ndarray | float],
-                    colour: str, dash: str = "") -> None:
-    """One polyline through (px, py(rows)), written a block of rows at a time."""
+def _column_extremes(col: np.ndarray, series) -> list[np.ndarray]:
+    """Within each run of equal pixel columns `col` (non-decreasing): the
+    first and the last row, and the first row of the lowest and of the
+    highest value of each series, an array over the same rows (M4)."""
+    n = len(col)
+    new = np.flatnonzero(col[1:] != col[:-1]) + 1
+    starts = np.concatenate(([0], new))
+    picks = [starts, np.append(new - 1, n - 1)]
+    run = np.zeros(n, np.intp)
+    run[new] = 1
+    np.cumsum(run, out=run)
+    rows = np.arange(n)
+    for v in series:
+        for extreme in (np.minimum, np.maximum):
+            at = v == extreme.reduceat(v, starts)[run]
+            picks.append(np.minimum.reduceat(np.where(at, rows, n), starts))
+    return picks
+
+
+def _polyline(px: numfmt.Formatted, py: np.ndarray, colour: str, dash: str = "") -> bytes:
+    """One polyline through the points (px, py)."""
     from . import numfmt
 
     dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
-    fh.write(f'<polyline fill="none" stroke="{colour}" stroke-width="1.2"{dash_attr} '
-             'points="'.encode("ascii"))
-    for lo in range(0, len(px), numfmt.CHUNK):
-        rows = slice(lo, lo + numfmt.CHUNK)
-        x = px[rows]
-        for block in numfmt.rows(" %.2f,%.2f", (x, np.broadcast_to(py(rows), len(x)))):
-            fh.write(block if lo else block[1:])  # no space before the first point
-    fh.write(b'"/>\n')
+    points = b"".join(numfmt.rows(" %.2f,%.2f", (px, py)))[1:]  # no space before the first
+    return (f'<polyline fill="none" stroke="{colour}" stroke-width="1.2"{dash_attr} '
+            'points="').encode("ascii") + points + b'"/>\n'
 
 
 def render_svg(traj: Trajectory, cert: Certificate, path: str | Path) -> None:
     """Two stacked panels: error x and density n_e against time, with dashed
-    certified bounds and pellet-fire markers.  Deliberately minimal.  Every
-    series is computed and written a block of CHUNK rows at a time."""
+    certified bounds and pellet-fire markers.  Deliberately minimal.
+
+    Drawn at the pixel resolution (M4: Jugel et al., PVLDB 7(10), 2014): of
+    each 1-px column of the time axis, floor(px), only the first and last
+    row are kept, and the rows of the lowest and highest value of x and of
+    each drawn bound, and also the first row the bound covers.  All four
+    polylines run through these shared rows (the bounds from that first row
+    on), and each point has the bytes it would have at full resolution.
+    One fire marker is drawn per column that holds a fire, at its first
+    fire.  The rows are chosen a block of CHUNK rows at a time, so a column
+    split across two blocks keeps a few more; the plot costs O(pixels), and
+    its temporaries one block, however long the run."""
     from . import numfmt
 
-    ts, xs, r = traj.t, traj.x, traj.plant.r
-    t_range = (0.0, traj.t_end)
-
+    n, t_end, r = len(traj), traj.t_end, traj.plant.r
     # the bound is drawn on the rows it bounds, from `first` on (slice(0): `first` alone)
-    first = verify.certified_bound(traj, cert, slice(0))[0] if cert.feasible else len(traj)
-    x_min, x_max = float(xs.min()), float(xs.max())
-    for lo in range(0, len(traj) - first, numfmt.CHUNK):
-        _, lower, upper = verify.certified_bound(traj, cert, slice(lo, lo + numfmt.CHUNK))
-        x_min = min(x_min, float(np.min(lower)), float(np.min(upper)))
-        x_max = max(x_max, float(np.max(lower)), float(np.max(upper)))
-    panel_x = _Panel(60, 20, 800, 250, t_range, (x_min, x_max))
-    # r - x is monotone in x, rounding included: its extremes are at those of x
-    panel_n = _Panel(60, 310, 800, 250, t_range, (r - float(xs.max()), r - float(xs.min())))
+    first = verify.certified_bound(traj, cert, slice(0))[0] if cert.feasible else n
 
-    # both panels share x0, width and t_range: one time column, formatted once
-    px = numfmt.formatted("%.2f", panel_x.px(ts))
+    # per block: the kept rows, the bounds at those from `first` on, and
+    # the first fire of each column
+    kept, lower, upper, fires = [], [np.empty(0)], [np.empty(0)], []
+    fire_col = -1.0  # the column of the last fire kept
+    for lo in range(0, n, numfmt.CHUNK):
+        rows = slice(lo, lo + numfmt.CHUNK)
+        col, x = np.floor(_px(traj.t[rows], t_end)), traj.x[rows]
+        picks = _column_extremes(col, (x,))
+        b = max(first - lo, 0)  # the block's first bounded row
+        if b < len(col):
+            # (lower, upper) over the block's bounded rows, counted from `first`;
+            # those that vary add their extremes, and the first bounded row
+            # starts a run
+            bounded_rows = slice(lo + b - first, rows.stop - first)
+            lower_upper = verify.certified_bound(traj, cert, bounded_rows)[1:]
+            varying = [v for v in lower_upper if np.ndim(v)]
+            picks += [b + i for i in _column_extremes(col[b:], varying)]
+        keep = np.zeros(len(col), bool)
+        keep[np.concatenate(picks)] = True
+        block_kept = np.flatnonzero(keep)
+        kept.append(lo + block_kept)
+        if b < len(col):
+            bounded = block_kept[block_kept >= b] - b
+            for out, bound in zip((lower, upper), lower_upper):
+                out.append(np.broadcast_to(bound, len(col) - b)[bounded])
+        fired = np.flatnonzero(traj.fired[rows])
+        fired_col = col[fired]
+        fires.append(lo + fired[np.diff(fired_col, prepend=fire_col) != 0])
+        fire_col = fired_col[-1] if len(fired) else fire_col
+    kept, lower, upper, fires = map(np.concatenate, (kept, lower, upper, fires))
+    x = traj.x[kept]
+
+    # the kept rows hold every column's extremes, so those of the whole run
+    drawn = [v for v in (x, lower, upper) if len(v)]
+    y_range = (min(float(v.min()) for v in drawn), max(float(v.max()) for v in drawn))
+    panel_x = _Panel(20, 250, y_range)
+    # r - x is monotone in x, rounding included: its extremes are at those of x
+    panel_n = _Panel(310, 250, (r - float(x.max()), r - float(x.min())))
+
+    # both panels share the time axis: one column of pixels, formatted once
+    px = numfmt.formatted("%.2f", _px(traj.t[kept], t_end))
     with open(path, "wb") as fh:
         fh.write("\n".join([
             '<svg xmlns="http://www.w3.org/2000/svg" width="900" height="600" '
@@ -258,17 +314,15 @@ def render_svg(traj: Trajectory, cert: Certificate, path: str | Path) -> None:
             panel_n.frame("electron density n_e [particles/m^3] vs t [s]"),
             "",
         ]).encode("utf-8"))
-        _write_polyline(fh, px, lambda rows: panel_x.py(xs[rows]), "#1f77b4")
-        _write_polyline(fh, px, lambda rows: panel_n.py(r - xs[rows]), "#2ca02c")
+        fh.write(_polyline(px, panel_x.py(x), "#1f77b4"))
+        fh.write(_polyline(px, panel_n.py(r - x), "#2ca02c"))
         colour = "#c0392b" if cert.bound_scope == "trajectory" else "#8e44ad"
-        for half in (2, 1) if cert.feasible else ():  # upper, then lower
-            _write_polyline(fh, px[first:],
-                            lambda rows: panel_x.py(verify.certified_bound(traj, cert, rows)[half]),
-                            colour, dash="6,4")
+        for bound in (upper, lower) if cert.feasible else ():
+            fh.write(_polyline(px[len(px) - len(bound):], panel_x.py(bound), colour, dash="6,4"))
         y1, y2 = panel_x.y0 + panel_x.h - 8, panel_x.y0 + panel_x.h
         marker = (f'<line x1="%.2f" y1="{y1}" x2="%.2f" y2="{y2}" stroke="#e67e22" '
                   'stroke-width="1"/>\n')
-        fires = px[traj.fired]
+        fires = numfmt.formatted("%.2f", _px(traj.t[fires], t_end))
         fh.writelines(numfmt.rows(marker, (fires, fires)))
         fh.write(b"</svg>")
 

@@ -65,6 +65,14 @@ class TestDeltaMax:
         values = [delta_max(plant, t, Variant.NM) for t in grid]
         assert all(a > b for a, b in zip(values, values[1:]))
 
+    def test_empty_far_past_the_tick_limit(self, plant):
+        # y = l*t_c/tau = 1000, where e**y is past the float range: the
+        # preparation gate of 100 s at t_c = 0.007 (l = 14286), and a 100 s tick
+        assert delta_max(plant, 0.007, Variant.NM, l=14286) == 0.0
+        for variant in (Variant.NM, Variant.SDM_IC):
+            for t_c in (100.0, 1e300):
+                assert delta_max(plant, t_c, variant) == 0.0
+
     def test_prep_example(self, plant):
         # frozen: l=3 at t_c=0.007 leaves a thin but nonempty threshold range
         assert delta_max(plant, 0.007, Variant.NM, l=3) == pytest.approx(
@@ -88,6 +96,14 @@ class TestRMax:
         t_c = 1e-12 * plant.tau
         y = t_c / plant.tau
         assert r_max(plant, t_c) == pytest.approx(plant.alpha * (1.0 / y + 0.5), rel=1e-12)
+
+    def test_alpha_far_past_the_tick_limit(self, plant):
+        # past y = 37, alpha*e**y/(e**y - 1) rounds to alpha, though
+        # exp(y)/expm1(y) reads 1 + 2**-52 at y = 37.01 and 1 - 2**-53 at
+        # y = 38.417; at y = 1000 e**y is past the float range
+        for t_c in (3.701, 3.8417, 100.0, 1e300):  # y = 37.01, 38.417, 1000, 1e301
+            assert r_max(plant, t_c) == plant.alpha
+        assert r_max(plant, 0.007, l=14286) == plant.alpha
 
     def test_finite_where_e_to_the_y_rounds_to_1(self, plant):
         # y = t_c/tau = 1e-16: e**y rounds to 1.0, so e**y - 1 would be 0

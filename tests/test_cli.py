@@ -126,9 +126,10 @@ def test_a_horizon_no_array_can_hold_is_usage_error(argv, sim, actuator, tmp_pat
     assert err.startswith("error:") and "t_end" in err and "Traceback" not in err
 
 
-def _nm_with(sections, tmp_path):
-    """Path of a copy of nm_tracking.json with the given fields replaced."""
-    doc = json.loads(Path(NM).read_text())
+def _nm_with(sections, tmp_path, base=NM):
+    """Path of a copy of nm_tracking.json, or of `base`, with the given
+    fields replaced."""
+    doc = json.loads(Path(base).read_text())
     for section, fields in sections.items():
         doc[section].update(fields)
     path = tmp_path / "edited.json"
@@ -158,6 +159,39 @@ def test_tick_short_against_tau_certifies(sections, tmp_path, capsys):
     # l*t_c/tau below about 1e-16, where e**y - 1 rounds to 0
     assert main(["certify", _nm_with(sections, tmp_path)]) == 0
     assert math.isfinite(json.loads(capsys.readouterr().out)["r_max"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify"],
+    ["verify", "-o"],
+    ["simulate", "-o"],
+    ["compare-oracle"],
+    ["sweep", "--axis", "delta", "--values", "1", "-o"],
+], ids=lambda argv: argv[0])
+def test_tick_that_vanishes_against_tau_is_usage_error(argv, tmp_path, capsys):
+    # t_c/tau rounds to 0, where r_max would divide by zero
+    sections = {"plant": {"tau": 1e30}, "actuator": {"t_c": 1e-300}, "sim": {"t_end": 1e-299}}
+    outdir = [str(tmp_path / "out")] if argv[-1] == "-o" else []
+    assert main([argv[0], _nm_with(sections, tmp_path), *argv[1:], *outdir]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "t_c" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("base, sections", [
+    pytest.param(SCENARIO_DIR / "nm_prep_gate.json", {"actuator": {"t_prep": 100.0}}, id="prep"),
+    pytest.param(NM, {"actuator": {"t_c": 100.0}, "sim": {"t_end": 1000.0}}, id="tick"),
+])
+def test_tick_far_past_the_limit_is_infeasible(base, sections, tmp_path, capsys):
+    # y = l*t_c/tau = 1000, where e**y is past the float range
+    path = _nm_with(sections, tmp_path, base)
+    assert main(["certify", path]) == 0
+    cert = json.loads(capsys.readouterr().out)
+    assert cert["feasible"] is False
+    assert cert["delta_max"] == 0.0 and cert["r_max"] == 1e19  # alpha
+    assert main(["verify", path, "-o", str(tmp_path / "out")]) == 0
+    summary = (tmp_path / "out" / "summary.json").read_text()
+    assert "Infinity" not in summary and "NaN" not in summary
+    assert json.loads(summary)["certificate"] == cert
 
 
 @pytest.mark.parametrize("digits", [401, 5000])

@@ -75,6 +75,15 @@ def test_prep_time_beyond_the_float_range_of_ticks_rejected():
     assert ActuatorSpec(t_c=1e-300, t_prep=1e7).prep_ticks() > 10**306
 
 
+def test_tick_that_vanishes_against_tau_rejected():
+    # t_c/tau rounds to 0, where r_max's e**y - 1 would be 0
+    plant = PlantParams(tau=1e30, r=5e19, alpha=1e19)
+    controller = ControllerSpec(Variant.NM, 1.569e16)
+    with pytest.raises(ValidationError, match="rounds to 0"):
+        validate(plant, ActuatorSpec(t_c=1e-300), controller)
+    validate(plant, ActuatorSpec(t_c=1e-290), controller)  # t_c/tau = 1e-320
+
+
 def test_alpha_from_pellet_mass_and_volume():
     plant = PlantParams.from_pellet(tau=0.1, r=5e19, m_p=1.3e20, volume=13.0)
     assert plant.alpha == pytest.approx(1e19, rel=1e-15)

@@ -6,8 +6,11 @@ trajectory became columnar and the preparation gate began counting whole
 ticks; the plot and stretched-run digests pin them as written by Python's
 own `%` formatting, before number formatting was vectorized.  The summary
 digests were taken again when r_max began to take e**y - 1 from expm1,
-which moved only its last digits (2 to 10 ulps).  A change that moves any
-digit of any file fails here.
+which moved only its last digits (2 to 10 ulps).  The plot digests were
+taken again when plot.svg began to keep only the first, last, lowest and
+highest rows of each pixel column; five of the eight shipped plots kept
+every row and their bytes.  A change that moves any digit of any file fails
+here.
 """
 
 import dataclasses
@@ -57,35 +60,35 @@ GOLDEN = {
 
 
 GOLDEN_SVG = {
-    "nm_gas_gun": "78891c634d02fa06ec9c87dae02c9d73d47019262469dd8d8ce68eb10918193b",
-    "nm_prep_gate": "8348d532ba9f1364cc9fb026b297f6546b44010ff754524b803897a6b7c63285",
+    "nm_gas_gun": "2771bfdfa6bcb61a7dbc553118e85e8262f2994c35a148c1c39364bbdf75b392",
+    "nm_prep_gate": "00a77eb085325c579533ef615222ac5aa8aed3bfa6f3626fa45d814b3ca6a46b",
     "nm_small_threshold": "d39940576f96bf5cf99f1b919dfa77d23325f916c2a81873a302b1fcb4427161",
     "nm_tracking": "8184886f621159ed8128f2794fd997cca2ed6f6be75c5b999e11ee18e156d6ec",
-    "sdm_ic_fast": "9ec13781b4b0655c4d6b1ffe08e70ed23545e0469c1234f75b6c2f95bd7a3d29",
+    "sdm_ic_fast": "a2a0650092ba1ce9b29253d045ce2f327fdc7b0546aa0da8933a0ed9a8eca3d6",
     "sdm_ic_slow": "9d7e38f434117b776225a09d89188486565fecccca472c4961f809b52cf25d0f",
     "sdm_jm": "e200b013412839f36fc87dfb40f3f7eaa0e4823b0ae1a2f008a37945ae39d1bd",
     "sdm_windup": "e7f7e037c90ee33ee90dcb2bc7785e8b422eb96298b61834126228b8a14deb86",
 }
 
 # Shipped scenarios stretched to about 20,000 samples with x0 = 0.6 r: each
-# file spans several formatting blocks, and sdm_ic_fast (plot) and nm_gas_gun
-# (both files) hold values whose digits come from the exact fallback.
+# run spans several formatting blocks, and nm_gas_gun's trajectory.csv holds
+# values whose digits come from the exact fallback.
 # (trajectory.csv, summary.json, plot.svg)
 GOLDEN_STRETCHED = {
     "nm_gas_gun": (
         "7e27efa987ac55ddda9d93e9e3c2e5876a31ce95a646022d6bf75cfb4f341af5",
         "329863a423ebb04e3cac11cbe1fdb906c66aedfcc2b2292a9f6d285613426eae",
-        "57f6a994a8ff56d0a5983627cec425745873b5f3786e61e997c06ca9ed4aaa91",
+        "82ed1495339e5e97b20f0e86ba5b46b4ee4a7748c6a2a96a1494f7fd3e5d6ebe",
     ),
     "nm_tracking": (
         "bddf7275b8b06cd8a52aca92b3743e9d55914e49bff0481ab58acc212ca67f6f",
         "41ed0ac06488bc73761f3f56cfb24e2fe5f994ed06485942f62a4c42b64989bc",
-        "f4b4b7ba7f2f876799396a62312ec0f6a4a8c5979248883fff8db1ecbe51d021",
+        "224a12dbe1f0ca6c59f150e49e7a248882541f9935819915d33bf64dd8868e13",
     ),
     "sdm_ic_fast": (
         "ee1e670d56a902c7f1ab26875d0b081a2feec1fc41b5c2a41acfa8b7b1887cc2",
         "5f3af59b4b131018e8ae71b4aea12a094d23dc9d86225deb3492b58dcc47f03e",
-        "70efff9239f7b03e7399104890e37acf3ccf367e494eef50219c96456c4c5680",
+        "5bc2342b1aedd185567bfda65b86b0333a8cf4a18868da6f4b47f0cbb84fa0b1",
     ),
 }
 STRETCHED_SAMPLES = 20_000

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import tracemalloc
 from dataclasses import replace
@@ -6,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pelletsim import (
     EmptyAxis,
@@ -19,8 +22,14 @@ from pelletsim import (
     run_scenario,
     sweep,
     tc_max,
+    verify,
 )
+from pelletsim.core import CHUNK
+from pelletsim.io import render_svg
+
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+# plot.svg keeps O(pixels) rows: a bound on its size at any run length
+PLOT_BYTES_CAP = 400_000
 
 
 def minimal_doc(**overrides):
@@ -33,6 +42,72 @@ def minimal_doc(**overrides):
     }
     doc.update(overrides)
     return doc
+
+
+# --- plot.svg at full resolution, with Python's own `%` -----------------------
+
+def svg_polylines(svg: str) -> list[list[str]]:
+    """The points of each polyline: x, n_e, then the upper and lower bound."""
+    return [points.split() for points in re.findall(r'points="([^"]*)"', svg)]
+
+
+def svg_markers(svg: str) -> list[str]:
+    return re.findall(r'<line x1="([^"]*)"', svg)
+
+
+def full_resolution(traj, cert) -> dict:
+    """Every row's pixels and points as a plot at full resolution would draw
+    them, one Python float at a time: the columns floor(px), and the points
+    of x, n_e and (from the first bounded row on) each bound."""
+    t, x, r, t_end = traj.t.tolist(), traj.x.tolist(), traj.plant.r, traj.t_end
+    px = [60 + ti / t_end * 800 for ti in t]
+    first, lower, upper = len(t), [], []
+    if cert.feasible:
+        first, lo, up = verify.certified_bound(traj, cert)
+        lower, upper = ([float(v)] * (len(t) - first) if np.ndim(v) == 0 else v.tolist()
+                        for v in (lo, up))
+    drawn = x + lower + upper
+
+    def py(y0, lo, hi):
+        hi = lo + max(1.0, abs(lo)) if hi - lo <= 0.0 else hi
+        y_min, y_max = lo - 0.05 * (hi - lo), hi + 0.05 * (hi - lo)
+        return lambda y: y0 + 250 - (y - y_min) / (y_max - y_min) * 250
+
+    py_x, py_n = py(20, min(drawn), max(drawn)), py(310, r - max(x), r - min(x))
+    point = lambda i, y: "%.2f,%.2f" % (px[i], y)  # noqa: E731
+    return {
+        "first": first,
+        "col": [math.floor(p) for p in px],
+        "px": ["%.2f" % p for p in px],
+        # per polyline: its rows, their values, and their points
+        "series": [
+            (range(len(t)), x, [point(i, py_x(v)) for i, v in enumerate(x)]),
+            (range(len(t)), [r - v for v in x], [point(i, py_n(r - v)) for i, v in enumerate(x)]),
+        ] + [(range(first, len(t)), bound, [point(first + i, py_x(v)) for i, v in enumerate(bound)])
+             for bound in ((upper, lower) if cert.feasible else ())],
+    }
+
+
+def m4_rows(traj, cert) -> list[int]:
+    """The rows that the plot keeps, by a plain loop over the pixel columns:
+    each column's first and last row, the first row of the lowest and of
+    the highest x and bound, and the first bounded row."""
+    ref = full_resolution(traj, cert)
+    col, first = ref["col"], ref["first"]
+    keep = {first} if first < len(col) else set()
+    for rows, values, _ in [ref["series"][0], *ref["series"][2:]]:  # x and the bounds
+        by_col = {}
+        for i, v in zip(rows, values):
+            by_col.setdefault(col[i], []).append((v, i))
+        for members in by_col.values():
+            keep |= {members[0][1], members[-1][1], min(members)[1],
+                     min(members, key=lambda m: (-m[0], m[1]))[1]}
+    return sorted(keep)
+
+
+def is_subsequence(points: list[str], full: list[str]) -> bool:
+    rest = iter(full)
+    return all(any(p == q for q in rest) for p in points)
 
 
 class TestParsing:
@@ -152,9 +227,13 @@ class TestArtifacts:
         assert svg.count("stroke-dasharray") == 2
         # the polylines of x, n_e, then the dashed upper and lower bounds; pixel
         # y grows downwards, so x above the lower bound has the smaller y
-        x_py, _, upper_py, lower_py = ([float(point.split(",")[1]) for point in points.split()]
-                                       for points in re.findall(r'points="([^"]*)"', svg))
-        assert len(x_py) == len(lower_py) == len(upper_py) == len(result.trajectory)
+        x_py, _, upper_py, lower_py = ([float(point.split(",")[1]) for point in points]
+                                       for points in svg_polylines(svg))
+        # the shared kept rows, by the plain loop of m4_rows, which is exact on
+        # a run of one block; from x0 < 0 every row is bounded
+        assert len(result.trajectory) <= CHUNK
+        kept = m4_rows(result.trajectory, result.certificate)
+        assert len(x_py) == len(lower_py) == len(upper_py) == len(kept)
         assert all(x <= lo for x, lo in zip(x_py, lower_py))
         assert all(up <= x for x, up in zip(x_py, upper_py))
         assert lower_py[0] == x_py[0]  # the climb starts at x0
@@ -172,9 +251,11 @@ class TestArtifacts:
         assert len(dashed) == 2
         start = f"{60 + traj.t[first] / traj.t_end * 800:.2f}"
         middle = 60 + 0.5 * 800  # the x pixel of t_end/2
+        assert len(traj) <= CHUNK  # m4_rows is exact on a run of one block
+        bounded = [i for i in m4_rows(traj, result.certificate) if i >= first]
         for points in dashed:
             px = [point.split(",")[0] for point in points.split()]
-            assert px[0] == start and len(px) == len(traj) - first
+            assert px[0] == start and len(px) == len(bounded)
             assert min(map(float, px)) >= middle
 
     # sdm_windup draws no overlays; nm_gas_gun has 2 samples a tick, so
@@ -203,6 +284,74 @@ class TestArtifacts:
         # temporaries sized by the run, not by a block, would pass 100
         assert len(result.trajectory) >= 199_000
         assert peak / len(result.trajectory) <= 100
+
+
+# every variant, both bound scopes (sdm_ic_slow: steady state) and none (sdm_windup)
+PLOTTED = ("nm_tracking", "sdm_windup", "sdm_ic_fast", "sdm_ic_slow", "sdm_jm",
+           "nm_prep_gate", "nm_gas_gun")
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(PLOTTED), samples_per_tick=st.integers(1, 12),
+       samples=st.floats(2.0, 12_000.0), x0_over_r=st.floats(-1.0, 1.0))
+# x0 = r, the fixed point, within one tick: x is flat at 5e19, where the
+# panel's band lo + 1 rounded back to lo and every point read nan
+@example(name="sdm_windup", samples_per_tick=2, samples=2.0, x0_over_r=1.0)
+def test_plot_keeps_each_pixel_columns_extremes(tmp_path_factory, name, samples_per_tick,
+                                                samples, x0_over_r):
+    # up to 6 blocks; at 1 sample a tick, about 7 ticks a pixel column
+    shipped = load_scenario(SCENARIO_DIR / f"{name}.json")
+    ticks = samples / (samples_per_tick + 1)
+    scenario = replace(shipped, samples_per_tick=samples_per_tick, x0=x0_over_r * shipped.plant.r,
+                       t_end=ticks * shipped.actuator.t_c)
+    result = run_scenario(scenario)
+    traj, cert = result.trajectory, result.certificate
+    path = tmp_path_factory.mktemp("plot") / "plot.svg"
+    render_svg(traj, cert, path)
+    svg = path.read_text()
+    ref = full_resolution(traj, cert)
+    polylines = svg_polylines(svg)
+    assert len(polylines) == len(ref["series"])
+    x_points, n_points, *bounds = polylines
+    assert len(x_points) == len(n_points)
+    assert len({len(points) for points in bounds}) <= 1  # upper and lower share rows
+    kept = m4_rows(traj, cert)
+    blocks = -(-len(traj) // CHUNK)
+    for points, (rows, values, full) in zip(polylines, ref["series"]):
+        assert is_subsequence(points, full)
+        drawn = set(points)
+        by_col = {}
+        for k, (i, v) in enumerate(zip(rows, values)):
+            by_col.setdefault(ref["col"][i], []).append((v, k))
+        for members in by_col.values():
+            lowest, highest = min(members)[0], max(members)[0]
+            assert full[members[0][1]] in drawn and full[members[-1][1]] in drawn
+            assert any(full[k] in drawn for v, k in members if v == lowest)
+            assert any(full[k] in drawn for v, k in members if v == highest)
+        # the rows of m4_rows, exactly on one block; a column that two blocks
+        # split keeps at most 8 rows more: a first and a last row, and the
+        # extremes of x and of two bounds
+        expected = [full[i - rows[0]] for i in kept if i >= rows[0]]
+        if blocks == 1:
+            assert points == expected
+        else:
+            assert len(expected) <= len(points) <= len(expected) + 8 * (blocks - 1)
+    fire_cols = {}
+    for i in np.flatnonzero(traj.fired).tolist():
+        fire_cols.setdefault(ref["col"][i], ref["px"][i])
+    assert svg_markers(svg) == list(fire_cols.values())
+
+
+@pytest.mark.parametrize("samples", [20_000, 200_000])
+def test_plot_size_does_not_grow_with_the_run(tmp_path, samples):
+    # at most 4 + 2 rows a column (x and one varying bound), 801 columns, plus
+    # a few per block; a plot of every row would take 55 B a sample
+    shipped = load_scenario(SCENARIO_DIR / "nm_tracking.json")
+    ticks = samples / (shipped.samples_per_tick + 1)
+    scenario = replace(shipped, t_end=round(ticks * shipped.actuator.t_c, 1))
+    result = run_scenario(scenario, tmp_path, svg=True)
+    assert len(result.trajectory) >= 0.99 * samples
+    assert (tmp_path / "plot.svg").stat().st_size <= PLOT_BYTES_CAP
 
 
 class TestSweep:
