@@ -1,7 +1,7 @@
 """Deterministic hybrid simulator and stability certificates for
 pellet-based plasma density control."""
 
-from .bounds import certify, delta_max, envelope, r_max, tc_max, ub_ic_slow
+from .bounds import certify, delta_max, envelope, tc_max, ub_ic_slow
 from .controllers import JumpOutcome, tick_jump
 from .core import (
     ActuatorMode,
@@ -17,6 +17,7 @@ from .core import (
     TrajectorySample,
     ValidationError,
     Variant,
+    r_max,
     validate,
 )
 from .engine import EmptyTrajectory, Scenario, simulate, steady_state_window

@@ -22,11 +22,13 @@ import math
 import numpy as np
 
 from .core import (
+    Y_PAST_LIMITS,
     ActuatorSpec,
     Certificate,
     ControllerSpec,
     PlantParams,
     Variant,
+    r_max,
     validate,
 )
 from .flow import flow_x, flow_x_grid
@@ -34,14 +36,6 @@ from .flow import flow_x, flow_x_grid
 # a clipping level below this fraction of alpha is treated as a near-zero
 # threshold, which is what the widened slow-actuator bound is proven for
 _NEAR_ZERO_SAT = 1e-6
-
-# Within the tick limit that delta_max serves, y = l*t_c/tau (2*t_c/tau for
-# input clipping) is at most ln(r/(r - alpha)) <= ln(2**53) = 36.74, so past
-# y = 37 its range is empty; and past y = 37 r_max's e**y/(e**y - 1) =
-# 1 + 1/(e**y - 1) rounds to 1, as 1/e**37 < 2**-53.  Neither is evaluated
-# there: e**y leaves the float range past y = 709.78, and math.exp and
-# math.expm1 can each be an ulp off, so that their quotient could read below 1.
-_Y_PAST_LIMITS = 37.0
 
 
 def tc_max(plant: PlantParams, variant: Variant, l: int = 1) -> float:
@@ -58,10 +52,10 @@ def tc_max(plant: PlantParams, variant: Variant, l: int = 1) -> float:
 def delta_max(plant: PlantParams, t_c: float, variant: Variant, l: int = 1) -> float:
     """Upper end of the admissible threshold range (may be <= 0 when the
     tick period is too long, meaning the range is empty).  Far past every
-    tick limit (_Y_PAST_LIMITS) it is 0.0, the empty range."""
+    tick limit (Y_PAST_LIMITS) it is 0.0, the empty range."""
     r, tau = plant.r, plant.tau
     t_eff = 2.0 * t_c if variant is Variant.SDM_IC else max(l, 1) * t_c
-    if t_eff / tau > _Y_PAST_LIMITS:
+    if t_eff / tau > Y_PAST_LIMITS:
         return 0.0
     if variant is Variant.SDM_IC:
         return (r - (r - plant.alpha) * math.exp(t_eff / tau)) * t_c
@@ -70,17 +64,6 @@ def delta_max(plant: PlantParams, t_c: float, variant: Variant, l: int = 1) -> f
         - r * tau * (1.0 - plant.gamma * math.exp(t_eff / tau))
         - r * t_eff
     )
-
-
-def r_max(plant: PlantParams, t_c: float, l: int = 1) -> float:
-    """Highest reference the actuator can sustain with pellets of size alpha,
-    alpha*e**y/(e**y - 1) with y = l*t_c/tau; expm1 keeps the digits of
-    e**y - 1 where y is small, and past _Y_PAST_LIMITS it is alpha, the
-    value it rounds to.  core.validate keeps y above 0."""
-    y = max(l, 1) * t_c / plant.tau
-    if y > _Y_PAST_LIMITS:
-        return plant.alpha
-    return math.exp(y) / math.expm1(y) * plant.alpha
 
 
 def envelope(t, x0: float, plant: PlantParams):

@@ -286,17 +286,43 @@ class Certificate:
     nonstandard: bool = False
 
 
+# Within the tick limit that bounds.delta_max serves, y = l*t_c/tau
+# (2*t_c/tau for input clipping) is at most ln(r/(r - alpha)) <= ln(2**53) =
+# 36.74, so past y = 37 its range is empty; and past y = 37 r_max's
+# e**y/(e**y - 1) = 1 + 1/(e**y - 1) rounds to 1, as 1/e**37 < 2**-53.
+# Neither is evaluated there: e**y leaves the float range past y = 709.78,
+# and math.exp and math.expm1 can each be an ulp off, so that their quotient
+# could read below 1.
+Y_PAST_LIMITS = 37.0
+
+
+def r_max(plant: PlantParams, t_c: float, l: int = 1) -> float:
+    """Highest reference the actuator can sustain with pellets of size alpha,
+    alpha*e**y/(e**y - 1) with y = l*t_c/tau; expm1 keeps the digits of
+    e**y - 1 where y is small, and past Y_PAST_LIMITS it is alpha, the
+    value it rounds to.  validate keeps y above 0 and the result finite."""
+    y = max(l, 1) * t_c / plant.tau
+    if y > Y_PAST_LIMITS:
+        return plant.alpha
+    return math.exp(y) / math.expm1(y) * plant.alpha
+
+
 def validate(plant: PlantParams, actuator: ActuatorSpec, controller: ControllerSpec) -> None:
     """Re-run the three specs' own construction checks, and the one check
     across them; raises on violation.
 
     Constructors already enforce their own; Scenario and certify re-run them
     as cheap insurance, without a second copy of any check.  Across them:
-    t_c/tau must not round to 0, where r_max = alpha*e**y/(e**y - 1), with
-    y = l*t_c/tau, would divide by zero.
+    the certificate's reference ceiling r_max = alpha*e**y/(e**y - 1), with
+    y = l*t_c/tau, must be a float.  It divides by zero where t_c/tau rounds
+    to 0, and overflows where y is so small, or alpha so large, that about
+    alpha/y leaves the float range.
     """
     for spec in (plant, actuator, controller):
         spec.__post_init__()
     if not actuator.t_c / plant.tau > 0.0:
         raise ValidationError(f"t_c={actuator.t_c!r} is too short against tau={plant.tau!r}: "
                               "t_c/tau rounds to 0")
+    if not math.isfinite(r_max(plant, actuator.t_c, actuator.prep_ticks())):
+        raise ValidationError("the reference ceiling r_max overflows a float at "
+                              f"t_c={actuator.t_c!r}, tau={plant.tau!r} and alpha={plant.alpha!r}")

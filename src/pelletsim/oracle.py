@@ -1,16 +1,16 @@
 """Independent fixed-step integrator used to cross-validate the engine.
 
-Classical fourth-order Runge-Kutta on (x, xi) between ticks, with the same
-jump logic applied at tick boundaries.  Sharing the jump map is deliberate:
-this module validates the closed-form flow integration, while the jump
-logic is pinned by hand-computed cases in its own tests.  The RK4 stages
-that feed xi are summed in closed form over each run of steps that the
-clipping treats alike, so an interval costs O(1) without clipping; with it,
-a run boundary costs the step guessed from the real crossing plus a check
-of the step before it, and a bisection of O(log n_steps) only where that
-guess misses, whatever the step count.  Kinks of the clipped integrator
-input are handled only by taking enough steps; no event localization is
-attempted.  Not for production use.
+Classical fourth-order Runge-Kutta on (x, xi) between ticks, and at each
+tick boundary this module's own jump map, written from the model equations
+on plain floats: nothing here calls the engine's controllers, so the check
+shares neither the flow integration nor the jump logic with what it checks.
+The RK4 stages that feed xi are summed in closed form over each run of
+steps that the clipping treats alike, so an interval costs O(1) without
+clipping; with it, a run boundary costs the step guessed from the real
+crossing plus a check of the step before it, and a bisection of
+O(log n_steps) only where that guess misses, whatever the step count.
+Kinks of the clipped integrator input are handled only by taking enough
+steps; no event localization is attempted.  Not for production use.
 """
 
 from __future__ import annotations
@@ -21,11 +21,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .controllers import tick_jump
-from .core import HybridState, PlantParams, Trajectory
+from .core import PlantParams, Trajectory, Variant
 from .engine import Scenario
 
 MIN_SUBSTEPS = 100
+# a pellet fires once xi reaches the threshold less this relative slack: a
+# clipped integrator saturated for a whole tick gains exactly one threshold,
+# and the slack keeps that decision on the firing side however it rounds
+FIRING_SLACK = 1e-9
 # Taylor coefficients 1/k! of (e**y - 1 - y)/y**2 = sum(y**(k - 2)/k!), k = 16
 # down to 2; 15 terms reach double precision for |y| <= 0.5
 _PHI_TAYLOR = tuple(1.0 / math.factorial(k) for k in range(16, 1, -1))
@@ -197,6 +200,37 @@ def integrate_flow_rk4(
     return x_end, xi0 + h_total / 6.0
 
 
+class Jump(NamedTuple):
+    """The state after a tick's jump, and whether a pellet fired there."""
+
+    x: float
+    xi: float
+    fired: bool
+
+
+def tick_jump(x: float, xi: float, since_fire: int, l: int, threshold: float, delta: float,
+              alpha: float, variant: Variant) -> Jump:
+    """The jump map at the tick boundary (x, xi), since_fire whole ticks
+    after the last pellet (or since t = 0).
+
+    A pellet fires once xi has reached threshold, which is delta less
+    FIRING_SLACK of it, and at least l ticks have passed.  It takes alpha
+    off x and resets xi: to 0 under NM, to max(0, xi - delta) under SDM and
+    SDM_IC, and under SDM_JM to what is left of xi after its whole multiples
+    of delta, which fmod takes exactly; in the slack band below delta there
+    is no whole multiple, and xi resets to 0.
+    """
+    if not (xi >= threshold and since_fire >= l):
+        return Jump(x, xi, False)
+    if variant is Variant.NM:
+        xi = 0.0
+    elif variant is Variant.SDM_JM:
+        xi = math.fmod(xi, delta) if xi >= delta else 0.0
+    else:
+        xi = max(0.0, xi - delta)
+    return Jump(x - alpha, xi, True)
+
+
 def simulate_numeric(scenario: Scenario, n_steps: int) -> Trajectory:
     """Numerically integrated counterpart of engine.simulate, at n_steps RK4
     steps per tick.
@@ -211,6 +245,10 @@ def simulate_numeric(scenario: Scenario, n_steps: int) -> Trajectory:
     if not t_c / n_steps > 0.0:
         raise StepTooCoarse(f"{n_steps} substeps of t_c={t_c!r} are too short for a float step")
     x_sat = scenario.x_sat
+    # the jump map's constants, the same at every tick
+    l, alpha, delta, variant = (actuator.prep_ticks(), plant.alpha, controller.delta,
+                                controller.variant)
+    threshold = delta * (1.0 - FIRING_SLACK)
 
     n_ticks, remainder = scenario.horizon_ticks()
     # row 0 is the initial state, rows 2k - 1 and 2k the pre- and post-jump
@@ -224,11 +262,10 @@ def simulate_numeric(scenario: Scenario, n_steps: int) -> Trajectory:
         x, xi = integrate_flow_rk4(x, xi, t_c, plant, x_sat, n_steps)
         xi = max(0.0, xi)
         since_fire += 1
-        outcome = tick_jump(HybridState(x, xi), since_fire, plant, controller, actuator)
         xs[i], xis[i] = x, xi
-        x, xi = outcome.state_after.x, outcome.state_after.xi
+        x, xi, jumped = tick_jump(x, xi, since_fire, l, threshold, delta, alpha, variant)
         xs[i + 1], xis[i + 1] = x, xi
-        if outcome.fired:
+        if jumped:
             fired[i + 1] = True
             since_fire = 0
 

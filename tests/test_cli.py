@@ -106,7 +106,8 @@ def test_non_finite_initial_state_or_horizon_is_usage_error(section, field, valu
 
 
 # horizons rejected before simulate sizes its arrays: t_end/t_c beyond the
-# float range, or more samples than an array can hold
+# float range, or more samples than an array can hold; tau is so short that
+# even the 1e-300 tick keeps the reference ceiling r_max a float
 @pytest.mark.parametrize("argv, sim, actuator", [
     (["verify"], {"t_end": 1e300}, {}),
     (["certify"], {"t_end": 1e300}, {}),
@@ -116,6 +117,7 @@ def test_non_finite_initial_state_or_horizon_is_usage_error(section, field, valu
 ])
 def test_a_horizon_no_array_can_hold_is_usage_error(argv, sim, actuator, tmp_path, capsys):
     doc = json.loads(Path(NM).read_text())
+    doc["plant"]["tau"] = 1e-290
     doc["sim"].update(sim)
     doc["actuator"].update(actuator)
     bad = tmp_path / "long.json"
@@ -138,11 +140,13 @@ def _nm_with(sections, tmp_path, base=NM):
 
 
 # spec values whose products or ratios leave the float range: tau*r, which
-# the flow scales r - x by, and t_prep/t_c, which prep_ticks counts
+# the flow scales r - x by, t_prep/t_c, which prep_ticks counts, and
+# alpha*tau/t_c, to which the certificate's r_max grows as t_c shrinks
 @pytest.mark.parametrize("verb", ["certify", "verify"])
 @pytest.mark.parametrize("sections, quantity", [
     ({"plant": {"tau": 1e308}}, "tau"),
     ({"actuator": {"t_c": 1e-300, "t_prep": 1e300}, "sim": {"t_end": 1e-299}}, "t_prep"),
+    ({"actuator": {"t_c": 1e-300}, "sim": {"t_end": 1e-299}}, "r_max"),
 ])
 def test_spec_overflow_is_usage_error(verb, sections, quantity, tmp_path, capsys):
     outdir = ["-o", str(tmp_path / "out")] if verb == "verify" else []

@@ -81,7 +81,27 @@ def test_tick_that_vanishes_against_tau_rejected():
     controller = ControllerSpec(Variant.NM, 1.569e16)
     with pytest.raises(ValidationError, match="rounds to 0"):
         validate(plant, ActuatorSpec(t_c=1e-300), controller)
-    validate(plant, ActuatorSpec(t_c=1e-290), controller)  # t_c/tau = 1e-320
+    # t_c/tau = 1e-280, where r_max = 1e299; at 1e-320, above 0 too, r_max
+    # overflows (test_reference_ceiling_beyond_the_float_range_rejected)
+    validate(plant, ActuatorSpec(t_c=1e-250), controller)
+
+
+@pytest.mark.parametrize("tau, r, alpha, t_c", [
+    (0.1, 5e19, 1e19, 1e-300),     # nm_tracking's plant: alpha*tau/t_c = 1e318
+    (1e30, 5e19, 1e19, 1e-290),    # t_c/tau = 1e-320: 1/(e**y - 1) overflows
+    (0.1, 1.7e308, 1.2e308, 0.1),  # y = 1: r_max = 1.58*alpha, while alpha/y is a float
+])
+def test_reference_ceiling_beyond_the_float_range_rejected(tau, r, alpha, t_c):
+    # the certificate would carry r_max = inf, which JSON cannot hold
+    plant = PlantParams(tau=tau, r=r, alpha=alpha)
+    with pytest.raises(ValidationError, match="r_max overflows"):
+        validate(plant, ActuatorSpec(t_c=t_c), ControllerSpec(Variant.NM, 1.569e16))
+
+
+def test_reference_ceiling_just_inside_the_float_range_passes():
+    # y = 1: r_max = 1.58*alpha = 1.74e308
+    plant = PlantParams(tau=0.1, r=1.7e308, alpha=1.1e308)
+    validate(plant, ActuatorSpec(t_c=0.1), ControllerSpec(Variant.NM, 1.569e16))
 
 
 def test_alpha_from_pellet_mass_and_volume():

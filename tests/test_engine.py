@@ -196,9 +196,11 @@ def test_steady_state_window_arithmetic(nm_tracking):
     (1e17, 1.0, 2**60),  # few ticks, too many samples
 ])
 def test_scenario_rejects_a_horizon_no_array_can_hold(nm_tracking, t_end, t_c, samples_per_tick):
+    # tau is so short that even the 1e-300 tick keeps r_max a float
+    plant = replace(nm_tracking.plant, tau=1e-290)
     with pytest.raises(ValidationError, match="t_end"):
-        replace(nm_tracking, t_end=t_end, actuator=replace(nm_tracking.actuator, t_c=t_c),
-                samples_per_tick=samples_per_tick)
+        replace(nm_tracking, plant=plant, t_end=t_end,
+                actuator=replace(nm_tracking.actuator, t_c=t_c), samples_per_tick=samples_per_tick)
 
 
 def test_steady_state_window_rejects_empty(nm_tracking):

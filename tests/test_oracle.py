@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import math
 import tracemalloc
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pelletsim import (PlantParams, StepTooCoarse, Variant, compare, flow_x, flow_xi, simulate,
+from pelletsim import (ActuatorSpec, ControllerSpec, HybridState, PlantParams, StepTooCoarse,
+                       Variant, compare, controllers, flow_x, flow_xi, oracle, simulate,
                        simulate_numeric)
 from pelletsim.io import load_scenario
 from pelletsim.oracle import _first_reached, integrate_flow_rk4
@@ -105,6 +107,66 @@ def test_oracle_columns_match_golden_digests(name):
             digest.update(column.tobytes())
         digests.append(digest.hexdigest())
     assert tuple(digests) == ORACLE_GOLDEN[name]
+
+
+def _ulps(value, k):
+    """value moved k floats up (k > 0) or down (k < 0)."""
+    for _ in range(abs(k)):
+        value = math.nextafter(value, math.copysign(math.inf, k))
+    return value
+
+
+@st.composite
+def tick_boundaries(draw):
+    """A boundary state and gate for the jump map: xi a few ulps either side
+    of the firing threshold or of delta, at or beside an exact multiple of
+    delta up to 80, or anywhere below 100*delta; since_fire one tick either
+    side of a gate of 1 to 8 ticks."""
+    variant = draw(st.sampled_from(list(Variant)))
+    delta = draw(st.sampled_from([1.0, 1.569e16, 2.755e16]) | st.floats(1e-3, 1e30))
+    near = draw(st.sampled_from(["threshold", "delta", "multiple", "anywhere"]))
+    if near == "threshold":
+        xi = _ulps(delta * (1.0 - oracle.FIRING_SLACK), draw(st.integers(-4, 4)))
+    elif near == "delta":
+        xi = _ulps(delta, draw(st.integers(-4, 4)))
+    elif near == "multiple":
+        xi = _ulps(draw(st.integers(1, 80)) * delta, draw(st.integers(-2, 2)))
+    else:
+        xi = draw(st.floats(0.0, 100.0 * delta))
+    l = draw(st.integers(1, 8))
+    since_fire = l + draw(st.integers(-1, 1))
+    alpha = draw(st.floats(1e10, 1e20))
+    x = draw(st.floats(-5.0 * alpha, 5.0 * alpha))
+    return x, xi, since_fire, l, delta, alpha, variant
+
+
+@given(tick_boundaries())
+@settings(max_examples=400, deadline=None)
+def test_oracle_jump_map_matches_the_engine_bit_for_bit(case):
+    x, xi, since_fire, l, delta, alpha, variant = case
+    actuator = ActuatorSpec(t_c=1.0, t_prep=float(l))
+    assert actuator.prep_ticks() == l
+    expected = controllers.tick_jump(HybridState(x, xi), since_fire,
+                                     PlantParams(tau=0.1, r=2.0 * alpha, alpha=alpha),
+                                     ControllerSpec(variant, delta), actuator)
+    threshold = delta * (1.0 - oracle.FIRING_SLACK)
+    got = oracle.tick_jump(x, xi, since_fire, l, threshold, delta, alpha, variant)
+    assert (got.x.hex(), got.xi.hex(), got.fired) == (
+        expected.state_after.x.hex(), expected.state_after.xi.hex(), expected.fired)
+
+
+def test_oracle_shares_no_code_with_the_jump_map_it_checks():
+    # the cross-check applies its own jump map: it may not import the
+    # engine's controllers, nor build their state and outcome types
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert "controllers" not in (node.module or "").split(".")
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            assert not any("controllers" in alias.name.split(".") for alias in node.names)
+        names = {getattr(node, "id", None), getattr(node, "attr", None),
+                 getattr(node, "name", None)}
+        assert not names & {"HybridState", "JumpOutcome"}
 
 
 @st.composite
@@ -205,9 +267,10 @@ def test_memory_does_not_grow_with_the_step_count(plant, n_steps):
 
 
 def test_step_too_small_to_count(nm_tracking):
-    # t_c / n_steps underflows to 0: no float step to take
-    fast = replace(nm_tracking, actuator=replace(nm_tracking.actuator, t_c=1e-300),
-                   t_end=2e-300)
+    # t_c / n_steps underflows to 0: no float step to take; tau is so short
+    # that the 1e-300 tick keeps r_max a float
+    fast = replace(nm_tracking, plant=replace(nm_tracking.plant, tau=1e-290),
+                   actuator=replace(nm_tracking.actuator, t_c=1e-300), t_end=2e-300)
     with pytest.raises(StepTooCoarse):
         simulate_numeric(fast, 10**30)
 
