@@ -3,7 +3,9 @@
 Every tick is a jump.  If the membrane potential is below threshold, or
 the preparation gate is still closed, the state carries over unchanged.
 Otherwise a pellet fires: the error drops by alpha and the membrane resets
-according to the variant.
+according to the variant.  SDM_JM keeps the remainder of xi after its whole
+multiples of delta, which fmod gives exactly and without the quotient
+xi/delta, so it holds where that quotient leaves the float range.
 
 Pellets fire only at ticks, so the model's clocks hold whole multiples of
 t_c at every jump and are not part of the state here.  The gate counts in
@@ -37,15 +39,6 @@ FIRING_SLACK = 1e-9
 class JumpOutcome:
     state_after: HybridState
     fired: bool
-    k_multiples: int = 0  # delta-multiples subtracted; 0 unless SDM_JM fires
-
-
-def _split_threshold(xi: float, delta: float) -> tuple[int, float]:
-    """k = floor(xi/delta) and the remainder xi - k*delta, via fmod so the
-    remainder lands in [0, delta) exactly."""
-    rem = math.fmod(xi, delta)
-    k = round((xi - rem) / delta)
-    return k, rem
 
 
 def tick_jump(
@@ -67,13 +60,11 @@ def tick_jump(
     if not fires:
         return JumpOutcome(state, fired=False)
 
-    k = 0
     if controller.variant is Variant.NM:
         xi_after = 0.0
     elif controller.variant is Variant.SDM_JM:
-        k, xi_after = _split_threshold(state.xi, delta)
-        if k == 0:  # fired inside the slack band just under delta
-            k, xi_after = 1, 0.0
+        # the slack band just under delta holds no whole multiple
+        xi_after = math.fmod(state.xi, delta) if state.xi >= delta else 0.0
     else:  # SDM and SDM_IC subtract a single threshold
         xi_after = max(0.0, state.xi - delta)
-    return JumpOutcome(HybridState(state.x - plant.alpha, xi_after), fired=True, k_multiples=k)
+    return JumpOutcome(HybridState(state.x - plant.alpha, xi_after), fired=True)

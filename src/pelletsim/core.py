@@ -308,18 +308,15 @@ def r_max(plant: PlantParams, t_c: float, l: int = 1) -> float:
 
 
 def validate(plant: PlantParams, actuator: ActuatorSpec, controller: ControllerSpec) -> None:
-    """Re-run the three specs' own construction checks, and the one check
-    across them; raises on violation.
+    """The checks across the three specs, which Scenario and certify share;
+    raises on violation.  Each spec's own checks run once, in its
+    constructor.
 
-    Constructors already enforce their own; Scenario and certify re-run them
-    as cheap insurance, without a second copy of any check.  Across them:
-    the certificate's reference ceiling r_max = alpha*e**y/(e**y - 1), with
+    The certificate's reference ceiling r_max = alpha*e**y/(e**y - 1), with
     y = l*t_c/tau, must be a float.  It divides by zero where t_c/tau rounds
     to 0, and overflows where y is so small, or alpha so large, that about
     alpha/y leaves the float range.
     """
-    for spec in (plant, actuator, controller):
-        spec.__post_init__()
     if not actuator.t_c / plant.tau > 0.0:
         raise ValidationError(f"t_c={actuator.t_c!r} is too short against tau={plant.tau!r}: "
                               "t_c/tau rounds to 0")

@@ -234,7 +234,7 @@ def _column_extremes(col: np.ndarray, series) -> list[np.ndarray]:
     return picks
 
 
-def _polyline(px: numfmt.Formatted, py: np.ndarray, colour: str, dash: str = "") -> bytes:
+def _polyline(px: np.ndarray, py: np.ndarray, colour: str, dash: str = "") -> bytes:
     """One polyline through the points (px, py)."""
     from . import numfmt
 
@@ -303,8 +303,8 @@ def render_svg(traj: Trajectory, cert: Certificate, path: str | Path) -> None:
     # r - x is monotone in x, rounding included: its extremes are at those of x
     panel_n = _Panel(310, 250, (r - float(x.max()), r - float(x.min())))
 
-    # both panels share the time axis: one column of pixels, formatted once
-    px = numfmt.formatted("%.2f", _px(traj.t[kept], t_end))
+    # both panels share the time axis: one column of pixels
+    px = _px(traj.t[kept], t_end)
     with open(path, "wb") as fh:
         fh.write("\n".join([
             '<svg xmlns="http://www.w3.org/2000/svg" width="900" height="600" '
@@ -322,7 +322,7 @@ def render_svg(traj: Trajectory, cert: Certificate, path: str | Path) -> None:
         y1, y2 = panel_x.y0 + panel_x.h - 8, panel_x.y0 + panel_x.h
         marker = (f'<line x1="%.2f" y1="{y1}" x2="%.2f" y2="{y2}" stroke="#e67e22" '
                   'stroke-width="1"/>\n')
-        fires = numfmt.formatted("%.2f", _px(traj.t[fires], t_end))
+        fires = _px(traj.t[fires], t_end)
         fh.writelines(numfmt.rows(marker, (fires, fires)))
         fh.write(b"</svg>")
 

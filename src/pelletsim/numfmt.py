@@ -22,7 +22,6 @@ the pad bytes of the whole block are dropped at once.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cache, lru_cache
 from types import SimpleNamespace
 from typing import Iterator, Sequence
@@ -160,41 +159,9 @@ def _f2_field(v: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
 _FIELDS = {"%.9e": _e9_field, "%.2f": _f2_field, "%d": _int_field}
 
 
-@dataclass(frozen=True)
-class Formatted:
-    """A column formatted once, as one row of words per value, to be laid
-    into several ``rows`` calls.  Indexing selects rows."""
-
-    conv: str
-    words: np.ndarray  # (len, width) words; pad words hold nothing
-
-    def __len__(self) -> int:
-        return len(self.words)
-
-    def __getitem__(self, index) -> Formatted:
-        return Formatted(self.conv, self.words[index])
-
-
-def formatted(conv: str, column: np.ndarray) -> Formatted:
-    """`column` under one conversion, formatted once for reuse."""
-    words = np.zeros((len(column), 0), _WORD)
-    for lo in range(0, len(column), CHUNK):
-        block = _field(conv, column[lo:lo + CHUNK])
-        # right-aligned: leading pad words are dropped with the other pad, so
-        # a wider block widens the rows before it on the left
-        if len(block) > words.shape[1]:
-            words = np.pad(words, ((0, 0), (len(block) - words.shape[1], 0)))
-        words[lo:lo + CHUNK, words.shape[1] - len(block):] = np.stack(block, axis=1)
-    return Formatted(conv, words)
-
-
-def _field(conv: str, column: np.ndarray | Formatted) -> list[np.ndarray]:
+def _field(conv: str, column: np.ndarray) -> list[np.ndarray]:
     """One conversion of one block of a column as word columns; slow rows
     by Python's `%`."""
-    if isinstance(column, Formatted):
-        if column.conv != conv:
-            raise ValueError(f"a column formatted as {column.conv!r} cannot fill {conv!r}")
-        return list(column.words.T)
     words, slow = _FIELDS[conv](column)
     for i in np.flatnonzero(slow).tolist():
         text = _words((conv % column[i].item()).encode("ascii"))
@@ -221,11 +188,10 @@ def _layout(fmt: str) -> tuple[tuple[str, ...], tuple[tuple[np.ndarray, ...], ..
     return tuple(convs), tuple(tuple(_words(text.encode("ascii"))) for text in literals)
 
 
-def rows(fmt: str, columns: Sequence[np.ndarray | Formatted]) -> Iterator[bytes]:
+def rows(fmt: str, columns: Sequence[np.ndarray]) -> Iterator[bytes]:
     """The bytes of ``"".join(fmt % row for row in zip(*columns))``, one
     bytes object per block of CHUNK rows.  `fmt` holds one "%.9e", "%.2f"
-    or "%d" per column, and no other '%'.  A column may be given already
-    `formatted` under its conversion."""
+    or "%d" per column, and no other '%'."""
     convs, literals = _layout(fmt)
     if len(convs) != len(columns):
         raise ValueError(f"{fmt!r} holds {len(convs)} conversions for {len(columns)} columns")

@@ -198,6 +198,16 @@ def test_tick_far_past_the_limit_is_infeasible(base, sections, tmp_path, capsys)
     assert json.loads(summary)["certificate"] == cert
 
 
+@pytest.mark.parametrize("verb", ["verify", "compare-oracle"])
+def test_multi_subtraction_at_a_tiny_threshold_runs(verb, tmp_path, capsys):
+    # SDM_JM at delta = 1e-300: xi/delta leaves the float range, and the
+    # reset keeps fmod's remainder without that quotient
+    path = _nm_with({"controller": {"delta": 1e-300}}, tmp_path, SCENARIO_DIR / "sdm_jm.json")
+    outdir = ["-o", str(tmp_path / "out")] if verb == "verify" else []
+    assert main([verb, path, *outdir]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("digits", [401, 5000])
 def test_integer_beyond_float_range_is_usage_error(digits, tmp_path, capsys):
     # 401 digits parse as a Python int that float() cannot hold; 5000 digits

@@ -153,22 +153,16 @@ class TestRows:
     @pytest.mark.parametrize("n", [0, 1, numfmt.CHUNK - 1, numfmt.CHUNK + 1, 3 * numfmt.CHUNK + 5])
     def test_column_formatted_once_and_reused(self, n):
         # blocks of different widths (a sign, more digits, a slow NaN) and
-        # ties, then rows selected from the formatted column
+        # ties, one column laid into two formats, then rows selected from it
         rng = np.random.default_rng(n)
         px = 60.0 + rng.random(n) * 800.0
         px[numfmt.CHUNK:numfmt.CHUNK + 3] = [-1.5, 1e6 + 0.125, np.nan][:max(0, n - numfmt.CHUNK)]
         px[: n // 5] = 61.255
         py = rng.random(n) * 600.0
-        once = numfmt.formatted("%.2f", px)
-        for _ in range(2):
-            assert formatted("%.2f,%.2f ", once, py) == expected("%.2f,%.2f ", px, py)
+        assert formatted("%.2f,%.2f ", px, py) == expected("%.2f,%.2f ", px, py)
         pick = rng.random(n) < 0.1
         fmt = '<line x1="%.2f" x2="%.2f"/>\n'
-        assert formatted(fmt, once[pick], once[pick]) == expected(fmt, px[pick], px[pick])
-
-    def test_formatted_column_keeps_its_conversion(self):
-        with pytest.raises(ValueError):
-            list(numfmt.rows("%.9e\n", (numfmt.formatted("%.2f", np.ones(3)),)))
+        assert formatted(fmt, px[pick], px[pick]) == expected(fmt, px[pick], px[pick])
 
     def test_rejects_columns_of_different_lengths(self):
         with pytest.raises(ValueError):

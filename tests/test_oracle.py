@@ -6,7 +6,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pelletsim import (ActuatorSpec, ControllerSpec, HybridState, PlantParams, StepTooCoarse,
@@ -118,21 +118,24 @@ def _ulps(value, k):
 
 @st.composite
 def tick_boundaries(draw):
-    """A boundary state and gate for the jump map: xi a few ulps either side
-    of the firing threshold or of delta, at or beside an exact multiple of
-    delta up to 80, or anywhere below 100*delta; since_fire one tick either
-    side of a gate of 1 to 8 ticks."""
+    """A boundary state and gate for the jump map: delta down to 1e-300; xi
+    a few ulps either side of the firing threshold or of delta, at or beside
+    an exact multiple of delta up to 80, anywhere below 100*delta, or
+    anywhere up to 1e20, where xi/delta may leave the float range;
+    since_fire one tick either side of a gate of 1 to 8 ticks."""
     variant = draw(st.sampled_from(list(Variant)))
-    delta = draw(st.sampled_from([1.0, 1.569e16, 2.755e16]) | st.floats(1e-3, 1e30))
-    near = draw(st.sampled_from(["threshold", "delta", "multiple", "anywhere"]))
+    delta = draw(st.sampled_from([1e-300, 1.0, 1.569e16, 2.755e16]) | st.floats(1e-300, 1e30))
+    near = draw(st.sampled_from(["threshold", "delta", "multiple", "below", "anywhere"]))
     if near == "threshold":
         xi = _ulps(delta * (1.0 - oracle.FIRING_SLACK), draw(st.integers(-4, 4)))
     elif near == "delta":
         xi = _ulps(delta, draw(st.integers(-4, 4)))
     elif near == "multiple":
         xi = _ulps(draw(st.integers(1, 80)) * delta, draw(st.integers(-2, 2)))
-    else:
+    elif near == "below":
         xi = draw(st.floats(0.0, 100.0 * delta))
+    else:
+        xi = draw(st.floats(0.0, 1e20))
     l = draw(st.integers(1, 8))
     since_fire = l + draw(st.integers(-1, 1))
     alpha = draw(st.floats(1e10, 1e20))
@@ -141,6 +144,7 @@ def tick_boundaries(draw):
 
 
 @given(tick_boundaries())
+@example((0.0, 1e20, 1, 1, 1e-300, 1e19, Variant.SDM_JM))  # xi/delta = 1e320
 @settings(max_examples=400, deadline=None)
 def test_oracle_jump_map_matches_the_engine_bit_for_bit(case):
     x, xi, since_fire, l, delta, alpha, variant = case
