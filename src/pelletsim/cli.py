@@ -1,9 +1,11 @@
 """Command-line interface.
 
-Verbs: certify, simulate, verify, sweep, compare-oracle.  Exit code 0 iff
-every applicable check passed; 1 when a check failed (the machine-readable
-reason lands in summary.json); 2 for unusable input; 141 when the reader
-of stdout closed it early.
+Verbs: certify, verify, sweep, compare-oracle.  `verify` is the one verb
+that runs a scenario and writes its artifacts; the scenario file alone sets
+how densely it is sampled (`sim.samples_per_tick`).  Exit code 0 iff every
+applicable check passed; 1 when a check failed (the machine-readable reason
+lands in summary.json); 2 for unusable input; 141 when the reader of stdout
+closed it early.
 """
 
 from __future__ import annotations
@@ -18,14 +20,7 @@ from dataclasses import asdict, replace
 
 from . import bounds, io, oracle, verify
 from .core import ValidationError
-from .engine import Scenario, simulate
-
-
-def _load(path: str, samples_per_tick: int | None) -> Scenario:
-    scenario = io.load_scenario(path)
-    if samples_per_tick is not None:
-        scenario = replace(scenario, samples_per_tick=samples_per_tick)
-    return scenario
+from .engine import simulate
 
 
 def _cmd_certify(args) -> int:
@@ -35,16 +30,8 @@ def _cmd_certify(args) -> int:
     return 0
 
 
-def _cmd_simulate(args) -> int:
-    scenario = _load(args.scenario, args.samples_per_tick)
-    result = io.run_scenario(scenario, outdir=args.outdir, svg=args.svg)
-    print(f"wrote {args.outdir}/trajectory.csv and summary.json"
-          + (" and plot.svg" if args.svg else ""))
-    return 0 if result.passed else 1
-
-
 def _cmd_verify(args) -> int:
-    scenario = _load(args.scenario, args.samples_per_tick)
+    scenario = io.load_scenario(args.scenario)
     result = io.run_scenario(scenario, outdir=args.outdir, svg=args.svg)
     rep = result.report
     print(f"certificate: {'feasible' if result.certificate.feasible else 'infeasible'}"
@@ -59,7 +46,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    scenario = _load(args.scenario, args.samples_per_tick)
+    scenario = io.load_scenario(args.scenario)
     try:
         values = [float(v) for v in args.values.split(",") if v.strip()]
     except ValueError:
@@ -72,7 +59,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_compare_oracle(args) -> int:
     # the comparison reads tick boundaries only: no intra-tick samples
-    scenario = _load(args.scenario, 1)
+    scenario = replace(io.load_scenario(args.scenario), samples_per_tick=1)
     analytic = simulate(scenario)
     numeric = oracle.simulate_numeric(scenario, args.oracle_steps)
     result = verify.compare(analytic, numeric, rtol=args.rtol)
@@ -82,15 +69,6 @@ def _cmd_compare_oracle(args) -> int:
         fm = result.fire_mismatch
         print(f"fire decision mismatch at tick {fm.tick} (t={fm.t:.6f}s)")
     return 0 if result.passed else 1
-
-
-def _step_count(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    if value > sys.float_info.max:  # the RK4 step t_c / value would overflow
-        raise argparse.ArgumentTypeError(f"must be at most {sys.float_info.max!r}")
-    return value
 
 
 def _tolerance(text: str) -> float:
@@ -111,39 +89,30 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_verb(name, help, runs=True, svg=False):
+    def add_verb(name, run, help):
         p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
         p.add_argument("scenario", help="scenario JSON file")
-        if runs:
-            p.add_argument("--samples-per-tick", type=int, default=None, metavar="N")
-            p.add_argument("-o", "--outdir", default="out")
-        if svg:
-            p.add_argument("--svg", action="store_true", help="also render plot.svg")
         return p
 
-    add_verb("certify", "print the tuning certificate", runs=False)
-    add_verb("simulate", "run and write artifacts", svg=True)
-    add_verb("verify", "run, check, and report", svg=True)
-    p_sweep = add_verb("sweep", "rerun over a parameter axis")
+    add_verb("certify", _cmd_certify, "print the tuning certificate")
+    p_verify = add_verb("verify", _cmd_verify, "run, check, and write artifacts")
+    p_verify.add_argument("-o", "--outdir", default="out")
+    p_verify.add_argument("--svg", action="store_true", help="also render plot.svg")
+    p_sweep = add_verb("sweep", _cmd_sweep, "rerun over a parameter axis")
+    p_sweep.add_argument("-o", "--outdir", default="out")
     p_sweep.add_argument("--axis", choices=tuple(io.SWEEP_AXES), required=True)
     p_sweep.add_argument("--values", required=True, help="comma-separated numbers")
-    p_cmp = add_verb("compare-oracle", "cross-check against RK4 integration", runs=False)
-    p_cmp.add_argument("--oracle-steps", type=_step_count, default=1000, metavar="N")
+    p_cmp = add_verb("compare-oracle", _cmd_compare_oracle, "cross-check against RK4 integration")
+    p_cmp.add_argument("--oracle-steps", type=int, default=1000, metavar="N")
     p_cmp.add_argument("--rtol", type=_tolerance, default=verify.RTOL)
     return parser
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    handlers = {
-        "certify": _cmd_certify,
-        "simulate": _cmd_simulate,
-        "verify": _cmd_verify,
-        "sweep": _cmd_sweep,
-        "compare-oracle": _cmd_compare_oracle,
-    }
     try:
-        code = handlers[args.command](args)
+        code = args.run(args)
         sys.stdout.flush()  # so that a closed pipe surfaces here, not at exit
         return code
     except BrokenPipeError:

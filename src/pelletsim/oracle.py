@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -242,6 +243,8 @@ def simulate_numeric(scenario: Scenario, n_steps: int) -> Trajectory:
     t_c = actuator.t_c
     if n_steps < MIN_SUBSTEPS:
         raise StepTooCoarse(f"need at least {MIN_SUBSTEPS} substeps per tick, got {n_steps}")
+    if n_steps > sys.float_info.max:  # t_c / n_steps would overflow
+        raise StepTooCoarse(f"need at most {sys.float_info.max!r} substeps per tick")
     if not t_c / n_steps > 0.0:
         raise StepTooCoarse(f"{n_steps} substeps of t_c={t_c!r} are too short for a float step")
     x_sat = scenario.x_sat
@@ -270,7 +273,9 @@ def simulate_numeric(scenario: Scenario, n_steps: int) -> Trajectory:
             since_fire = 0
 
     if remainder > 0.0:
-        n_tail = max(1, round(n_steps * remainder / t_c))
+        # remainder < t_c, so the tail's count stays below n_steps, where
+        # n_steps * remainder alone may overflow
+        n_tail = max(1, round(n_steps * (remainder / t_c)))
         x, xi = integrate_flow_rk4(x, xi, remainder, plant, x_sat, n_tail)
         xs[-1], xis[-1] = x, max(0.0, xi)
 

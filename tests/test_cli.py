@@ -30,7 +30,8 @@ def test_certify_prints_certificate(capsys):
 
 
 def test_simulate_writes_artifacts(tmp_path, capsys):
-    code = main(["simulate", NM, "-o", str(tmp_path), "--svg", "--samples-per-tick", "4"])
+    # verify is the verb that simulates and writes the run's artifacts
+    code = main(["verify", NM, "-o", str(tmp_path), "--svg"])
     assert code == 0
     assert (tmp_path / "trajectory.csv").exists()
     assert (tmp_path / "summary.json").exists()
@@ -55,11 +56,49 @@ def test_verify_exit_zero_for_uncertified_but_clean_run(tmp_path, capsys):
 def test_sweep_writes_table(tmp_path, capsys):
     code = main([
         "sweep", NM, "-o", str(tmp_path), "--axis", "delta",
-        "--values", "1.0,1e15,1.569e16", "--samples-per-tick", "2",
+        "--values", "1.0,1e15,1.569e16",
     ])
     assert code == 0
     lines = (tmp_path / "sweep.csv").read_text().splitlines()
     assert len(lines) == 4
+
+
+SHIPPED = sorted(SCENARIO_DIR.glob("*.json"))
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda path: path.stem)
+def test_every_scenario_verifies(path, tmp_path, capsys):
+    # exit 1 means a check failed, exit 2 unusable input; --svg runs the
+    # block-streamed plot writer on every scenario
+    assert main(["verify", str(path), "--svg", "-o", str(tmp_path)]) == 0
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["plot.svg", "summary.json",
+                                                          "trajectory.csv"]
+
+
+# the swept values span the thresholds, tick periods and references of the
+# shipped scenarios
+SWEEPS = {
+    "delta": "1,4e14,1.569e16,2.755e16",
+    "t_c": "0.001,0.007,0.0142857142857,0.03",
+    "r": "7e19,1e20",
+}
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda path: path.stem)
+def test_every_scenario_certifies_and_sweeps(path, tmp_path, capsys):
+    assert main(["certify", str(path)]) == 0
+    for axis, values in SWEEPS.items():
+        outdir = tmp_path / axis
+        assert main(["sweep", str(path), "--axis", axis, "--values", values, "-o", str(outdir)]) == 0
+        rows = (outdir / "sweep.csv").read_text().splitlines()
+        assert len(rows) == 1 + len(values.split(","))
+
+
+# the RK4 sums are closed forms, so a fine step costs about what the default does
+@pytest.mark.parametrize("steps", [[], ["--oracle-steps", "1000000"]], ids=["default", "1e6"])
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda path: path.stem)
+def test_every_scenario_matches_the_oracle(path, steps, capsys):
+    assert main(["compare-oracle", str(path), *steps]) == 0
 
 
 def test_compare_oracle_within_tolerance(capsys):
@@ -168,7 +207,6 @@ def test_tick_short_against_tau_certifies(sections, tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["certify"],
     ["verify", "-o"],
-    ["simulate", "-o"],
     ["compare-oracle"],
     ["sweep", "--axis", "delta", "--values", "1", "-o"],
 ], ids=lambda argv: argv[0])
@@ -228,25 +266,39 @@ def test_integer_beyond_float_range_is_usage_error(digits, tmp_path, capsys):
     ["--oracle-steps", "1" + "0" * 400],  # t_c / steps would overflow
 ])
 def test_bad_compare_oracle_option_is_usage_error(argv, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["compare-oracle", NM, *argv])
-    assert exc.value.code == 2
-    assert "error:" in capsys.readouterr().err
+    if argv[0] == "--oracle-steps":
+        # any integer parses; oracle.simulate_numeric owns the step-count rule
+        assert main(["compare-oracle", NM, *argv]) == 2
+    else:
+        with pytest.raises(SystemExit) as exc:
+            main(["compare-oracle", NM, *argv])
+        assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
 
 
-# certify and compare-oracle read no intra-tick samples; sweep draws no plot
-@pytest.mark.parametrize("verb, option, rest", [
-    pytest.param("certify", "--samples-per-tick", ["1"], id="certify-samples-per-tick"),
-    pytest.param("compare-oracle", "--samples-per-tick", ["1"],
+# the scenario file alone sets its samples per tick; sweep draws no plot;
+# verify is the one verb that runs a scenario and writes its artifacts
+SAMPLES = "unrecognized arguments: --samples-per-tick"
+
+
+@pytest.mark.parametrize("argv, error", [
+    pytest.param(["certify", "--samples-per-tick", "1"], SAMPLES, id="certify-samples-per-tick"),
+    pytest.param(["verify", "--samples-per-tick", "1"], SAMPLES, id="verify-samples-per-tick"),
+    pytest.param(["sweep", "--samples-per-tick", "1", "--axis", "delta", "--values", "1e15"],
+                 SAMPLES, id="sweep-samples-per-tick"),
+    pytest.param(["compare-oracle", "--samples-per-tick", "1"], SAMPLES,
                  id="compare-oracle-samples-per-tick"),
     # with the options sweep requires, so that --svg is the one it rejects
-    pytest.param("sweep", "--svg", ["--axis", "delta", "--values", "1e15"], id="sweep-svg"),
+    pytest.param(["sweep", "--svg", "--axis", "delta", "--values", "1e15"],
+                 "unrecognized arguments: --svg", id="sweep-svg"),
+    pytest.param(["simulate", "--svg"], "invalid choice: 'simulate'", id="simulate"),
 ])
-def test_verbs_take_no_option_they_would_not_read(verb, option, rest, capsys):
+def test_verbs_take_no_option_they_would_not_read(argv, error, capsys):
     with pytest.raises(SystemExit) as exc:
-        main([verb, NM, option, *rest])
+        main([argv[0], NM, *argv[1:]])
     assert exc.value.code == 2
-    assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+    assert error in capsys.readouterr().err
 
 
 def test_zero_rtol_is_accepted(capsys):
@@ -281,7 +333,7 @@ def test_no_option_carries_over_between_calls(tmp_path, capsys):
     assert main(["compare-oracle", NM]) == 0
     assert _parser().parse_args(["compare-oracle", NM]).rtol == 1e-6
     assert main(["sweep", NM, "-o", str(tmp_path / "sweep"), "--axis", "delta",
-                 "--values", "1e15", "--samples-per-tick", "2"]) == 0
+                 "--values", "1e15"]) == 0
     assert main(["verify", NM, "-o", str(tmp_path / "verify")]) == 0
     assert not hasattr(_parser().parse_args(["verify", NM]), "axis")
 

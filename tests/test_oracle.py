@@ -279,6 +279,21 @@ def test_step_too_small_to_count(nm_tracking):
         simulate_numeric(fast, 10**30)
 
 
+def test_step_count_past_the_float_range(nm_tracking):
+    # t_c / 10**400 would raise OverflowError converting the count to a float
+    with pytest.raises(StepTooCoarse, match="at most"):
+        simulate_numeric(nm_tracking, 10**400)
+
+
+def test_partial_last_tick_at_the_largest_step_count(nm_tracking):
+    # the tail's step count n_steps*remainder/t_c stays below n_steps; the
+    # product n_steps*remainder alone (1e307 * 50) leaves the float range
+    long_tick = replace(nm_tracking, actuator=replace(nm_tracking.actuator, t_c=100.0),
+                        t_end=1050.0)
+    numeric = simulate_numeric(long_tick, 10**307)
+    assert numeric.t[-1] == 1050.0 and all(map(math.isfinite, numeric.x))
+
+
 def test_clipped_slow_actuator_needs_fine_steps_at_its_kinks():
     # the clipped input delta/t_c holds every decision on the threshold tie,
     # and fixed RK4 steps lose about half a step of clipped input where x

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,11 +17,14 @@ from pelletsim import (
     compare,
     compute_metrics,
     detect_windup,
+    load_scenario,
     report,
     simulate,
 )
 
 from conftest import make_scenario
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def run(scenario):
@@ -97,6 +101,23 @@ class TestEnvelope:
         assert (witness.t, witness.value, witness.lower, witness.upper) == (
             0.5, 2 * upper, lower, upper)
         assert witness.note == "steady-state bound"
+
+
+# Certified runs whose envelope fails: certify sees neither the initial state
+# nor the horizon (ROADMAP direction 4).  From xi0 > delta the first tick
+# fires whatever x is, and x falls to -1.635e19 < -alpha at t = t_c; the
+# steady-state bound, applied from t_end/2 of a 21-tick run, fails at
+# t = 0.154 with x = 1.905e19 above 1.857e19.  A mend flips both.
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the certificate assumes xi0 < delta and a long enough horizon")
+@pytest.mark.parametrize("name, changes", [
+    pytest.param("nm_tracking", {"x0": -1.5e19, "xi0": 3.2e16}, id="xi0-past-the-threshold"),
+    pytest.param("sdm_ic_slow", {"t_end": 0.3}, id="short-horizon"),
+])
+def test_feasible_certificate_holds_on_the_run(name, changes):
+    traj, cert = run(replace(load_scenario(SCENARIO_DIR / f"{name}.json"), **changes))
+    rep = report(traj, cert)
+    assert not cert.feasible or rep.all_applicable_pass(), rep.witnesses
 
 
 class TestDwell:
