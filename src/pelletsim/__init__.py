@@ -24,6 +24,7 @@ from .engine import EmptyTrajectory, Scenario, simulate, steady_state_window
 from .flow import flow_x, flow_xi, sat_crossing_time, zero_crossing_time
 from .io import (
     EmptyAxis,
+    NonFinite,
     ParseError,
     RunResult,
     SchemaError,
@@ -54,7 +55,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ActuatorMode", "ActuatorSpec", "Certificate", "ComparisonResult",
     "ControllerSpec", "EmptyAxis", "EmptyTrajectory", "GridMismatch",
-    "HybridState", "HybridTime", "JumpOutcome", "Metrics", "NonPositiveParam",
+    "HybridState", "HybridTime", "JumpOutcome", "Metrics", "NonFinite", "NonPositiveParam",
     "ParseError", "PlantParams", "RNotAboveAlpha", "RunResult", "Scenario",
     "SchemaError", "StepTooCoarse", "Trajectory", "TrajectorySample",
     "ValidationError", "Variant", "VerifyReport", "certify",

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
@@ -26,7 +25,7 @@ from .engine import simulate
 def _cmd_certify(args) -> int:
     scenario = io.load_scenario(args.scenario)
     cert = bounds.certify(scenario.plant, scenario.actuator, scenario.controller)
-    print(json.dumps(asdict(cert), indent=2))
+    print(io.dump_json(asdict(cert)), end="")
     return 0
 
 
@@ -122,7 +121,7 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 128 + 13
-    except (io.ParseError, io.SchemaError, io.EmptyAxis, ValidationError,
+    except (io.ParseError, io.SchemaError, io.EmptyAxis, io.NonFinite, ValidationError,
             oracle.StepTooCoarse, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

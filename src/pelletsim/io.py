@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -46,6 +47,38 @@ class SchemaError(ValueError):
 
 class EmptyAxis(ValueError):
     pass
+
+
+class NonFinite(ValueError):
+    """A document to write holds NaN or an infinity, which JSON cannot."""
+
+
+def dump_json(doc) -> str:
+    """`doc` as indented strict JSON, with a final newline: the one writer
+    of summary.json, certify's output and scenario files.  Raises NonFinite,
+    naming the first field that holds NaN or an infinity."""
+    try:
+        return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        field = _non_finite(doc)
+        if field is None:
+            raise
+        raise NonFinite(f"{field}, which JSON cannot hold") from None
+
+
+def _non_finite(doc, path: str = "") -> str | None:
+    """'path is value' for the first NaN or infinity in doc, else None."""
+    if isinstance(doc, float):
+        return None if math.isfinite(doc) else f"{path} is {doc!r}"
+    if isinstance(doc, dict):
+        items = doc.items()
+    else:
+        items = enumerate(doc) if isinstance(doc, (list, tuple)) else ()
+    for key, value in items:
+        found = _non_finite(value, f"{path}.{key}" if path else str(key))
+        if found is not None:
+            return found
+    return None
 
 
 def _require_section(doc: dict, name: str) -> dict:
@@ -151,7 +184,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 def emit_scenario(scenario: Scenario) -> str:
     """Inverse of parse_scenario: parse(emit(s)) == s."""
-    return json.dumps(scenario_to_dict(scenario), indent=2) + "\n"
+    return dump_json(scenario_to_dict(scenario))
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -352,18 +385,18 @@ class RunResult:
 
 def run_scenario(scenario: Scenario, outdir: str | Path | None = None, svg: bool = False) -> RunResult:
     """Simulate, certify, verify; optionally write the artifact files
-    trajectory.csv, summary.json and plot.svg into outdir."""
+    trajectory.csv, summary.json and plot.svg into outdir, none of them
+    if the summary holds a number that JSON cannot (NonFinite)."""
     cert = bounds.certify(scenario.plant, scenario.actuator, scenario.controller)
     traj = simulate(scenario)
     rep = verify.report(traj, cert)
     result = RunResult(scenario, traj, cert, rep)
     if outdir is not None:
+        summary = dump_json(result.summary_dict())  # first: a refused one writes no file
         out = Path(outdir)
         out.mkdir(parents=True, exist_ok=True)
         write_trajectory_csv(traj, out / "trajectory.csv")
-        (out / "summary.json").write_text(
-            json.dumps(result.summary_dict(), indent=2) + "\n", encoding="utf-8"
-        )
+        (out / "summary.json").write_text(summary, encoding="utf-8")
         if svg:
             render_svg(traj, cert, out / "plot.svg")
     return result

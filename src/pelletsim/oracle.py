@@ -99,14 +99,21 @@ def _rk4_steps(dt: float, tau: float, n_steps: int) -> _Steps:
     step factor.  g**n is taken as exp(n*log1p(g - 1)) from the absolute
     step index: g - 1 keeps the digits that rounding g to a float loses, so
     the error does not grow with n as that of a float g raised to n does.
-    Every tick of a run shares these."""
+    Every tick of a run shares these.  Raises StepTooCoarse where g > 1,
+    as the steps would then grow x - r without bound."""
     h = dt / n_steps
     z = -h / tau
     p1 = 1.0 + 0.5 * z
     p2 = 1.0 + 0.5 * z * p1
     p3 = 1.0 + z * p2
     weights = 1.0 + 2.0 * p1 + 2.0 * p2 + p3
-    g_minus_1 = z / 6.0 * weights
+    g_minus_1 = z / 6.0 * weights  # z + z**2/2 + z**3/6 + z**4/24
+    # g > 0 for any real z, so |g| <= 1 is g - 1 <= 0: RK4's stability
+    # interval, h <= 2.785*tau (Hairer & Wanner, Solving ODEs II, IV.2)
+    if not g_minus_1 <= 0.0:  # also for NaN, where h/tau is inf
+        raise StepTooCoarse(f"RK4 steps of {h!r} s are {h / tau:.4g} tau, past RK4's stability "
+                            f"limit of about 2.785 tau (step factor {1.0 + g_minus_1!r}); "
+                            "take more steps per tick")
     log_g = math.log1p(g_minus_1)
     phi_step = _phi(log_g)
     return _Steps(
@@ -254,6 +261,13 @@ def simulate_numeric(scenario: Scenario, n_steps: int) -> Trajectory:
     threshold = delta * (1.0 - FIRING_SLACK)
 
     n_ticks, remainder = scenario.horizon_ticks()
+    # remainder < t_c, so the tail's count stays below n_steps, where
+    # n_steps * remainder alone may overflow
+    n_tail = max(1, round(n_steps * (remainder / t_c)))
+    # both step lengths inside RK4's stability interval, before any tick runs
+    _rk4_steps(t_c, plant.tau, n_steps)
+    if remainder > 0.0:
+        _rk4_steps(remainder, plant.tau, n_tail)
     # row 0 is the initial state, rows 2k - 1 and 2k the pre- and post-jump
     # states of tick k, and a partial last interval adds one more row
     rows = 2 * n_ticks + 1 + (remainder > 0.0)
@@ -273,9 +287,6 @@ def simulate_numeric(scenario: Scenario, n_steps: int) -> Trajectory:
             since_fire = 0
 
     if remainder > 0.0:
-        # remainder < t_c, so the tail's count stays below n_steps, where
-        # n_steps * remainder alone may overflow
-        n_tail = max(1, round(n_steps * (remainder / t_c)))
         x, xi = integrate_flow_rk4(x, xi, remainder, plant, x_sat, n_tail)
         xs[-1], xis[-1] = x, max(0.0, xi)
 

@@ -15,6 +15,13 @@ SDM = str(SCENARIO_DIR / "sdm_windup.json")
 SRC = str(SCENARIO_DIR.parent / "src")
 
 
+def strict_json(text: str):
+    """json.loads that refuses NaN and the infinities, which JSON lacks."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
 def _module_cli(*args, **kwargs):
     """`python -m pelletsim ARGS` in a child process, with this tree's source."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
@@ -73,6 +80,7 @@ def test_every_scenario_verifies(path, tmp_path, capsys):
     assert main(["verify", str(path), "--svg", "-o", str(tmp_path)]) == 0
     assert sorted(f.name for f in tmp_path.iterdir()) == ["plot.svg", "summary.json",
                                                           "trajectory.csv"]
+    strict_json((tmp_path / "summary.json").read_text())
 
 
 # the swept values span the thresholds, tick periods and references of the
@@ -87,6 +95,7 @@ SWEEPS = {
 @pytest.mark.parametrize("path", SHIPPED, ids=lambda path: path.stem)
 def test_every_scenario_certifies_and_sweeps(path, tmp_path, capsys):
     assert main(["certify", str(path)]) == 0
+    strict_json(capsys.readouterr().out)
     for axis, values in SWEEPS.items():
         outdir = tmp_path / axis
         assert main(["sweep", str(path), "--axis", axis, "--values", values, "-o", str(outdir)]) == 0
@@ -234,6 +243,49 @@ def test_tick_far_past_the_limit_is_infeasible(base, sections, tmp_path, capsys)
     summary = (tmp_path / "out" / "summary.json").read_text()
     assert "Infinity" not in summary and "NaN" not in summary
     assert json.loads(summary)["certificate"] == cert
+
+
+# a number past the float range in summary.json or the certificate: r =
+# 1.7e308 overflows the steady mean's sum, and SDM_IC's (r - alpha)*e**(2 t_c/tau)
+# takes delta_max to -inf.  Run as a child process: numpy warns of the
+# overflow on stderr, which the tests would raise
+@pytest.mark.parametrize("argv, base, sections, error", [
+    pytest.param(["verify", "-o"], NM, {"plant": {"r": 1.7e308}, "init": {"x0": 5e29}},
+                 "verify.metrics.mean_x_steady is inf", id="summary"),
+    pytest.param(["certify"], SCENARIO_DIR / "sdm_ic_fast.json", {"plant": {"r": 1.7e308}},
+                 "delta_max is -inf", id="certificate"),
+])
+def test_number_json_cannot_hold_is_usage_error(argv, base, sections, error, tmp_path):
+    outdir = [str(tmp_path / "out")] if argv[-1] == "-o" else []
+    proc = _module_cli(argv[0], _nm_with(sections, tmp_path, base), *argv[1:], *outdir)
+    out, err = (stream.decode() for stream in proc.communicate(timeout=120))
+    assert proc.returncode == 2
+    assert f"error: {error}" in err and "Traceback" not in err
+    assert "Infinity" not in out and not (tmp_path / "out" / "summary.json").exists()
+
+
+# RK4's step factor g = 1 + z + z**2/2 + z**3/6 + z**4/24, z = -h/tau, passes 1
+# at h = 2.785 tau: nm_tracking's step at 1000 steps a tick is 1.43e-5 s, and
+# the oracle diverged with an OverflowError (g = 2.99), a TypeError (g =
+# 1.024) or, at h/tau = inf, a ZeroDivisionError.  The tail: at 100 steps,
+# 1.49 steps left over take one step of 2.98 tau (g = 1.33) after ticks of
+# 2 tau (g = 0.33); 0.51 of them, one step of 1.02 tau (g = 0.37)
+@pytest.mark.parametrize("sections, steps, code", [
+    pytest.param({"plant": {"tau": 4e-6}}, [], 2, id="g-2.99"),
+    pytest.param({"plant": {"tau": 5.1e-6}}, [], 2, id="g-1.024"),
+    pytest.param({"plant": {"tau": 5e-324}}, [], 2, id="g-nan"),
+    pytest.param({"plant": {"tau": 5.3e-6}}, [], 0, id="g-0.873"),
+    pytest.param({"plant": {"tau": 1 / 70 / 200}, "sim": {"t_end": 5.0149 / 70}},
+                 ["--oracle-steps", "100"], 2, id="tail-g-1.33"),
+    pytest.param({"plant": {"tau": 1 / 70 / 200}, "sim": {"t_end": 5.0051 / 70}},
+                 ["--oracle-steps", "100"], 0, id="tail-g-0.37"),
+])
+def test_oracle_step_past_rk4s_stability_limit_is_usage_error(sections, steps, code, tmp_path,
+                                                              capsys):
+    assert main(["compare-oracle", _nm_with(sections, tmp_path), *steps]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error:") and "stability limit" in err if code == 2 else err == ""
 
 
 @pytest.mark.parametrize("verb", ["verify", "compare-oracle"])

@@ -20,12 +20,13 @@ from pelletsim import (
     load_scenario,
     parse_scenario,
     run_scenario,
+    simulate,
     sweep,
     tc_max,
     verify,
 )
 from pelletsim.core import CHUNK
-from pelletsim.io import render_svg
+from pelletsim.io import render_svg, write_trajectory_csv
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 # plot.svg keeps O(pixels) rows: a bound on its size at any run length
@@ -284,6 +285,29 @@ class TestArtifacts:
         # temporaries sized by the run, not by a block, would pass 100
         assert len(result.trajectory) >= 199_000
         assert peak / len(result.trajectory) <= 100
+
+
+def test_csv_writer_peak_is_one_block_at_any_length(tmp_path):
+    # with the trajectory built, the writer holds about one block of CHUNK
+    # rows: its peak reads the same at 20,000 and 200,000 rows, to within a
+    # block of the file, and stays under 1.4 MiB
+    shipped = load_scenario(SCENARIO_DIR / "nm_tracking.json")
+    peaks = []
+    for samples in (20_000, 200_000):
+        ticks = samples / (shipped.samples_per_tick + 1)
+        traj = simulate(replace(shipped, t_end=round(ticks * shipped.actuator.t_c, 1)))
+        path = tmp_path / f"{samples}.csv"
+        write_trajectory_csv(traj, path)  # builds the formatting tables
+        tracemalloc.start()
+        try:
+            write_trajectory_csv(traj, path)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert len(traj) >= 0.99 * samples
+    block = CHUNK * path.stat().st_size / len(traj)
+    assert abs(peaks[1] - peaks[0]) <= block
+    assert max(peaks) <= 1.4 * 2**20
 
 
 # every variant, both bound scopes (sdm_ic_slow: steady state) and none (sdm_windup)

@@ -1,7 +1,9 @@
 """numfmt.rows against Python's own `%` formatting, byte for byte."""
 
+import math
 import subprocess
 import sys
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -63,6 +65,17 @@ class TestE9:
         assert formatted("%.9e", np.array([9.9999999996e5])) == "1.000000000e+06"
         assert_matches("%.9e", [9.9999999996e5, 9.99999999949e5, 9.9999999995e-14, 9.9999999999e31])
 
+    def test_exponent_guess_is_exact_or_one_low(self):
+        # the guess by binary exponent e2 is the decimal exponent of the
+        # binade's low end 2**(e2 - 1); its high end is at most one above
+        tables = numfmt._tables()
+        for e2 in range(numfmt._E2_MIN, numfmt._E2_MAX + 1):
+            guess = int(tables.guess[e2 - numfmt._E2_MIN]) + numfmt._E_MIN
+            low = math.ldexp(0.5, e2)
+            high = math.nextafter(2 * low, 0.0) if e2 < numfmt._E2_MAX else sys.float_info.max
+            assert Decimal(low).adjusted() == guess
+            assert Decimal(high).adjusted() in (guess, guess + 1)
+
     @pytest.mark.parametrize("shift", [-1.0, 1.0])
     def test_exponent_guess_one_off(self, monkeypatch, shift):
         # the exponent comes from log10, which may round across an integer
@@ -122,13 +135,28 @@ class TestD:
         assert_matches("%d", np.array(values, dtype=np.int64))
 
 
+# values that Python's `%` formats: a three-digit exponent widens the field
+# by a word, and a decimal tie is formatted on its own
+SLOW = [np.nan, np.inf, -np.inf, -0.0, -1.5e-300, 333744673.05]
+
+
 class TestRows:
-    @pytest.mark.parametrize("n", [0, 1, numfmt.CHUNK - 1, numfmt.CHUNK, numfmt.CHUNK + 1,
-                                   3 * numfmt.CHUNK + 5])
-    def test_csv_rows_across_block_boundaries(self, n):
+    # the six float columns of a block are formatted together: slow values in
+    # one of them (its index among the six), at and across block boundaries,
+    # widen that column alone
+    @pytest.mark.parametrize("n, slow_column", [
+        pytest.param(n, column, id=str(n) if column is None else f"{n}-slow-in-{column}")
+        for n in (0, 1, numfmt.CHUNK - 1, numfmt.CHUNK, numfmt.CHUNK + 1, 3 * numfmt.CHUNK + 5)
+        for column in (None, *range(6)) if n or column is None
+    ])
+    def test_csv_rows_across_block_boundaries(self, n, slow_column):
         rng = np.random.default_rng(n)
         floats = [rng.standard_normal(n) * 10.0 ** rng.integers(-15, 25, n) for _ in range(6)]
         floats[1][::7] = 0.0
+        if slow_column is not None:
+            ends = [k * numfmt.CHUNK for k in range(1, -(-n // numfmt.CHUNK))] + [n]
+            rows = [i for end in ends for i in range(end - 3, end + 3) if 0 <= i < n]
+            floats[slow_column][rows] = np.resize(SLOW, len(rows))
         j = rng.integers(0, 10**6, n)
         fired = rng.random(n) < 0.1
         columns = (floats[0], j, *floats[1:], fired)
