@@ -207,7 +207,10 @@ class Trajectory:
     Row i is the state (x[i], xi[i]) at hybrid time (t[i], j[i]); fired[i]
     marks a post-jump row at which a pellet fired.  Every tick is a jump, so
     j also counts the ticks so far.  The timers T and T_p are not stored:
-    ``timers()`` derives them from t, j and the fire times.
+    ``timers()`` derives them from t, j and the fire times.  ``orbit`` is
+    (first, period) when the run repeats: from the post-fire row of tick
+    first on, the state repeats every period ticks; None otherwise, or
+    when the producer does not look.
     """
 
     t: np.ndarray
@@ -218,6 +221,7 @@ class Trajectory:
     plant: PlantParams
     controller: ControllerSpec
     actuator: ActuatorSpec
+    orbit: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
         for name, dtype in _COLUMNS:

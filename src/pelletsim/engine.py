@@ -17,6 +17,22 @@ and its end state at t_end is one more scalar flow_x/flow_xi call.  Both
 passes fill the columns in place, so pass 1 keeps no per-tick list and the
 temporaries of pass 2 stay one block in size however long the run.
 
+Pass 1 stops once a post-fire state repeats bit for bit.  A tick reads only
+its start state and the ticks since the last pellet, which are 0 after
+every fire; so from a fire whose state an earlier fire held, every tick
+repeats the tick one period back, and every row of the grids (boundary
+states, interior samples, fire marks) is a copy of the row one period
+back.  The rest of the run is then filled by block copies, and pass 2
+evaluates only the rows that pass 1 reached, so the trajectory is the one
+the ticks would give, bit for bit.  NM's fire-to-fire map is a piecewise
+contraction, whose orbits are eventually periodic (Nogueira, Pires &
+Rosales, Nonlinearity 27, 2014), and in floats the shipped NM runs reach
+an exact cycle within a few thousand ticks.  The search is Brent's (BIT
+20, 1980): each fire compares its state with one saved post-fire state,
+which moves on after 1, 2, 4, ... fires, so a run that never repeats pays
+a float comparison per fire and keeps O(1) state.  The orbit found is the
+trajectory's `orbit`: (first post-fire tick, period in ticks).
+
 The array forms are exact, not approximate: every sample is bit-identical
 to the scalar flow_x/flow_xi call at the same start state and offset, as
 the flow module states.
@@ -110,7 +126,8 @@ def simulate(scenario: Scenario) -> Trajectory:
     Each tick contributes samples_per_tick flow samples, the last of which is
     the pre-jump state, and one post-jump sample.  Jumps occur exactly at
     t = k*t_c, one per tick, so the jump count never exceeds floor(t/t_c) + 1
-    and Zeno behaviour is ruled out by construction.
+    and Zeno behaviour is ruled out by construction.  Trajectory.orbit is
+    (first, period) once the post-fire state repeats, else None.
     """
     plant, actuator, controller = scenario.plant, scenario.actuator, scenario.controller
     t_c = actuator.t_c
@@ -120,8 +137,10 @@ def simulate(scenario: Scenario) -> Trajectory:
     n_ticks, remainder = scenario.horizon_ticks()
 
     # row i of the grids holds tick start i, its interior samples and the
-    # pre-jump state of tick i+1, so the rows read in order are the samples
-    x_grid, xi_grid = np.empty((n_ticks + 1, spt + 1)), np.empty((n_ticks + 1, spt + 1))
+    # pre-jump state of tick i+1, so the rows read in order are the samples;
+    # entry 0 of row k is fired when tick k fired a pellet
+    shape = (n_ticks + 1, spt + 1)
+    x_grid, xi_grid, fired_grid = np.empty(shape), np.empty(shape), np.zeros(shape, dtype=bool)
 
     # pass 1: the tick recurrence on boundary states, written straight into
     # the grids' first column (the initial state, then the post-jump states)
@@ -131,10 +150,17 @@ def simulate(scenario: Scenario) -> Trajectory:
     # half a numpy scalar store.
     x_starts, xi_starts = memoryview(x_grid[:, 0]), memoryview(xi_grid[:, 0])
     x_pres, xi_pres = memoryview(x_grid[:, spt]), memoryview(xi_grid[:, spt])
+    fires = memoryview(fired_grid[:, 0])
     x, xi = scenario.x0, scenario.xi0
     x_starts[0], xi_starts[0] = x, xi
-    fire_ticks = []
     since_fire = 0  # whole ticks since the last pellet, or since t = 0
+    # the cycle search compares each post-fire state with the one saved at
+    # tick saved_k.  == compares the bits here: a post-fire x is
+    # x_pre - alpha with alpha > 0, and xi is 0.0, the fmod of a positive xi
+    # or max(0.0, xi - delta), so neither is ever -0.0
+    saved_x = saved_xi = math.nan  # equal to no state before the first fire
+    saved_k, power, lam = 0, 1, 1
+    period = 0  # ticks between the two equal states, once found
     for k in range(1, n_ticks + 1):
         x_pre, xi_pre = flow_x(x, t_c, plant), flow_xi(x, xi, t_c, plant, x_sat)
         x_pres[k - 1], xi_pres[k - 1] = x_pre, xi_pre
@@ -143,22 +169,38 @@ def simulate(scenario: Scenario) -> Trajectory:
         x, xi = outcome.state_after.x, outcome.state_after.xi
         x_starts[k], xi_starts[k] = x, xi
         if outcome.fired:
-            fire_ticks.append(k)
+            fires[k] = True
             since_fire = 0
+            if x == saved_x and xi == saved_xi:
+                # a tick reads only its start state and since_fire, 0 after
+                # both fires: every tick from k on repeats the tick `period` back
+                period = k - saved_k
+                break
+            if lam == power:
+                saved_x, saved_xi, saved_k = x, xi, k
+                power, lam = 2 * power, 0
+            lam += 1
 
     # a partial last interval: the interior samples that fit, then t_end
     offsets = [t_c * (m / spt) for m in range(1, spt)]  # interior flow times
     tail = remainder > 0.0
     n_tail = sum(dt < remainder - _TICK_EPS * t_c for dt in offsets)
 
-    # pass 2: the interior samples
-    rows = n_ticks + (n_tail > 0) if offsets else 0  # interior samples only when spt > 1
+    # pass 2: the interior samples of the rows that pass 1 reached, which
+    # exist only when spt > 1
+    rows = (k if period else n_ticks + (n_tail > 0)) if offsets else 0
     step = max(1, CHUNK // spt)  # tick rows per block: about CHUNK samples
     for lo in range(0, rows, step):
         block = slice(lo, min(lo + step, rows))
         x0s, xi0s = x_grid[block, 0], xi_grid[block, 0]
         x_grid[block, 1:spt] = flow.flow_x_grid(x0s, offsets, plant)
         xi_grid[block, 1:spt] = flow.flow_xi_grid(x0s, xi0s, offsets, plant, x_sat)
+    orbit = None
+    if period:  # rows k.. copy the rows `period` back, a partial last one's samples included
+        _replay((x_grid, xi_grid, fired_grid), k, period)
+        x, xi = float(x_grid[n_ticks, 0]), float(xi_grid[n_ticks, 0])
+        orbit = (_orbit_entry(x_grid[:, 0], xi_grid[:, 0], fired_grid[:, 0], saved_k, period),
+                 period)
 
     # row i of the grids is at t = t_c*(i + m/spt) and j = i for m = 0..spt
     t_grid = np.add.outer(np.arange(n_ticks + 1), np.arange(spt + 1) / spt)
@@ -169,16 +211,39 @@ def simulate(scenario: Scenario) -> Trajectory:
         t_grid[-1, n_tail + 1] = scenario.t_end
     n_samples = n_ticks * (spt + 1) + 1 + (n_tail + 1 if tail else 0)
 
-    fired = np.zeros(n_samples, dtype=bool)
-    fired[np.array(fire_ticks, dtype=np.int64) * (spt + 1)] = True
     return Trajectory(
         t=t_grid.ravel()[:n_samples],
         j=np.repeat(np.arange(n_ticks + 1), spt + 1)[:n_samples],
         x=x_grid.ravel()[:n_samples],
         xi=xi_grid.ravel()[:n_samples],
-        fired=fired,
+        fired=fired_grid.ravel()[:n_samples],
         plant=plant, controller=controller, actuator=actuator,
+        orbit=orbit,
     )
+
+
+def _orbit_entry(x_starts: np.ndarray, xi_starts: np.ndarray, fires: np.ndarray,
+                 saved_k: int, period: int) -> int:
+    """The first post-fire tick whose state the fire `period` ticks later
+    repeats.  The search saw it from saved_k on; a repeat at one fire
+    implies one at every later fire."""
+    ticks = np.flatnonzero(fires[:saved_k + 1])
+    later = ticks + period
+    same = (fires[later] & (x_starts[ticks] == x_starts[later])
+            & (xi_starts[ticks] == xi_starts[later]))
+    return int(ticks[np.argmax(same)])
+
+
+def _replay(grids: tuple[np.ndarray, ...], lo: int, period: int) -> None:
+    """Rows lo.. of each grid as copies of the rows `period` back.  Rows
+    lo - period..lo-1 hold one period; each copy doubles the periods in
+    place, so it reads rows that no copy writes and needs no temporary."""
+    src, end = lo - period, len(grids[0])
+    while lo < end:
+        n = min(lo - src, end - lo)
+        for grid in grids:
+            grid[lo:lo + n] = grid[src:src + n]
+        lo += n
 
 
 def steady_state_window(traj: Trajectory) -> int:

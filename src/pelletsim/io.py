@@ -386,7 +386,8 @@ class RunResult:
 def run_scenario(scenario: Scenario, outdir: str | Path | None = None, svg: bool = False) -> RunResult:
     """Simulate, certify, verify; optionally write the artifact files
     trajectory.csv, summary.json and plot.svg into outdir, none of them
-    if the summary holds a number that JSON cannot (NonFinite)."""
+    if the summary holds a number that JSON cannot (NonFinite).  Without
+    svg, a plot.svg already in outdir is removed: it drew another run."""
     cert = bounds.certify(scenario.plant, scenario.actuator, scenario.controller)
     traj = simulate(scenario)
     rep = verify.report(traj, cert)
@@ -399,6 +400,8 @@ def run_scenario(scenario: Scenario, outdir: str | Path | None = None, svg: bool
         (out / "summary.json").write_text(summary, encoding="utf-8")
         if svg:
             render_svg(traj, cert, out / "plot.svg")
+        else:
+            (out / "plot.svg").unlink(missing_ok=True)
     return result
 
 

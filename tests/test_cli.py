@@ -52,6 +52,22 @@ def test_verify_reports_checks(tmp_path, capsys):
     assert "windup_detected: False" in out
 
 
+def test_verify_without_svg_removes_an_earlier_plot(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["verify", NM, "-o", str(out), "--svg"]) == 0
+    written = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert sorted(written) == ["plot.svg", "summary.json", "trajectory.csv"]
+    # a run refused for a number JSON cannot hold writes and removes nothing;
+    # run as a child process, as numpy warns of the overflow on stderr
+    refused = _module_cli("verify", _nm_with({"plant": {"r": 1.7e308}, "init": {"x0": 5e29}},
+                                             tmp_path), "-o", str(out))
+    refused.communicate(timeout=120)
+    assert refused.returncode == 2
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == written
+    assert main(["verify", NM, "-o", str(out)]) == 0
+    assert sorted(path.name for path in out.iterdir()) == ["summary.json", "trajectory.csv"]
+
+
 def test_verify_exit_zero_for_uncertified_but_clean_run(tmp_path, capsys):
     # wind-up variant has no applicable envelope check; nothing fails
     assert main(["verify", SDM, "-o", str(tmp_path)]) == 0

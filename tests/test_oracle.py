@@ -188,9 +188,23 @@ def crossing_intervals(draw):
     return x0, xi0, dt, PlantParams(tau=tau, r=r, alpha=r / 10), x_sat, n_steps
 
 
+def rk4_step_factor(dt, tau, n_steps):
+    """RK4's factor on x - r per step, 1 + z + z**2/2 + z**3/6 + z**4/24 with
+    z = -h/tau; past 1, at h of about 2.785 tau, the steps diverge."""
+    z = -(dt / n_steps) / tau
+    return 1.0 + z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0)))
+
+
 @given(crossing_intervals())
 @settings(max_examples=60, deadline=None)
+# one step of 3 tau: g = 1.375, which integrate_flow_rk4 refuses
+@example((-3.4816890703380646e17, 0.0, 3.0, PlantParams(tau=1.0, r=1e17, alpha=1e16), None, 1))
 def test_array_rk4_matches_sequential_steps(case):
+    x0, xi0, dt, plant, x_sat, n_steps = case
+    if rk4_step_factor(dt, plant.tau, n_steps) > 1.0:
+        with pytest.raises(StepTooCoarse):
+            integrate_flow_rk4(*case)
+        return
     x, xi = integrate_flow_rk4(*case)
     x_ref, xi_ref = rk4_sequential(*case)
     assert abs(x - x_ref) <= 1e-12 * abs(x_ref)
