@@ -82,9 +82,7 @@ def _non_finite(doc, path: str = "") -> str | None:
 
 
 def _require_section(doc: dict, name: str) -> dict:
-    if name not in doc:
-        raise SchemaError(f"missing section {name!r}")
-    section = doc[name]
+    section = doc[name]  # parse_scenario's _check_keys has required every section
     if not isinstance(section, dict):
         raise SchemaError(f"section {name!r} must be an object")
     return section

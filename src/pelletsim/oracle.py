@@ -261,10 +261,11 @@ def simulate_numeric(scenario: Scenario, n_steps: int) -> Trajectory:
     threshold = delta * (1.0 - FIRING_SLACK)
 
     n_ticks, remainder = scenario.horizon_ticks()
-    # remainder < t_c, so the tail's count stays below n_steps, where
-    # n_steps * remainder alone may overflow
-    n_tail = max(1, round(n_steps * (remainder / t_c)))
+    # rounded up, so the tail's step is no longer than the tick's; remainder < t_c
+    # keeps the count at most n_steps, where n_steps * remainder may overflow
+    n_tail = max(1, math.ceil(n_steps * (remainder / t_c)))
     # both step lengths inside RK4's stability interval, before any tick runs
+    # (the tail's too: rounding may still leave its step a hair past the tick's)
     _rk4_steps(t_c, plant.tau, n_steps)
     if remainder > 0.0:
         _rk4_steps(remainder, plant.tau, n_tail)

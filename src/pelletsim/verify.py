@@ -8,6 +8,7 @@ bound) report None rather than a silent pass.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -221,11 +222,14 @@ def compute_metrics(traj: Trajectory) -> Metrics:
     else:
         last_out = int(np.max(np.nonzero(~inside)[0]))
         settling = float(t[last_out + 1]) if last_out + 1 < len(t) else None
+    lo, hi = float(window.min()), float(window.max())
+    n = len(window)  # past half the float range the sum overflows, and window/n does not
+    mean = window.mean() if max(-lo, hi) * n < sys.float_info.max / 2 else np.sum(window / n)
     return Metrics(
         pellet_count=int(np.count_nonzero(traj.fired)),
-        min_x_steady=float(window.min()),
-        max_x_steady=float(window.max()),
-        mean_x_steady=float(window.mean()),
+        min_x_steady=lo,
+        max_x_steady=hi,
+        mean_x_steady=float(mean),
         settling_time=settling,
     )
 

@@ -1,6 +1,23 @@
 import pytest
+from hypothesis import strategies as st
 
 from pelletsim import ActuatorSpec, ControllerSpec, PlantParams, Scenario, Variant
+
+finite = dict(allow_nan=False, allow_infinity=False)  # the property tests' float draws
+
+
+@st.composite
+def plants(draw):
+    """alpha in [1e18, 5e19], tau in [0.01, 1] and r from 1.1 to 10 alpha."""
+    alpha = draw(st.floats(1e18, 5e19, **finite))
+    return PlantParams(tau=draw(st.floats(0.01, 1.0, **finite)),
+                       r=alpha * draw(st.floats(1.1, 10.0, **finite)), alpha=alpha)
+
+
+def short_scenario(plant, actuator, controller, x0, cycles=4.0):
+    """One sample a tick over `cycles` dwell times tau_d, and at least three ticks."""
+    t_end = max(cycles * plant.tau_d, 3.0 * actuator.t_c)
+    return Scenario(plant, actuator, controller, x0=x0, t_end=t_end, samples_per_tick=1)
 
 
 @pytest.fixture

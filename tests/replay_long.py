@@ -6,8 +6,8 @@ At one sample a tick, each of the four shipped NM scenarios reaches its
 orbit within a few thousand ticks and replays the rest; sdm_jm never
 repeats and ticks every tick.  The sha256 of simulate's five columns must
 equal that of test_replay's reference recurrence, which ticks every tick
-(about 3.4 s a scenario).  pytest does not collect this file: it is a CI
-step, past tier-1's budget.  Exits 1 on a mismatch.
+(about 5 s a scenario on 2 vCPUs).  pytest does not collect this file: it
+is a CI step, past tier-1's budget.  Exits 1 on a mismatch.
 """
 
 import dataclasses

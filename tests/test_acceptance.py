@@ -35,7 +35,7 @@ from pelletsim import (
     tick_jump,
 )
 
-from conftest import make_scenario
+from conftest import make_scenario, short_scenario
 
 ALPHA = 1e19
 
@@ -162,11 +162,6 @@ def _random_certified(rng, variant=Variant.NM):
         return plant, ActuatorSpec(t_c=t_c), ControllerSpec(variant, delta), x0
 
 
-def _short(plant, actuator, controller, x0, cycles=4.0):
-    t_end = max(cycles * plant.tau_d, 3.0 * actuator.t_c)
-    return Scenario(plant, actuator, controller, x0=x0, t_end=t_end, samples_per_tick=1)
-
-
 def test_criterion_8_zeno_bound_1000():
     rng = np.random.default_rng(801)
     variants = list(Variant)
@@ -228,7 +223,7 @@ def test_criterion_8_contraction_1000():
         plant, actuator, controller, x0 = _random_certified(rng)
         cert = certify(plant, actuator, controller)
         assert cert.feasible
-        traj = simulate(_short(plant, actuator, controller, x0))
+        traj = simulate(short_scenario(plant, actuator, controller, x0))
         verdict, witness = check_contraction(traj, cert)
         assert verdict is True, witness
     ok("criterion 8e: certified reset cycles contract by gamma over 1000 random runs")
@@ -239,7 +234,7 @@ def test_criterion_8_dwell_1000():
     for _ in range(1000):
         plant, actuator, controller, x0 = _random_certified(rng)
         cert = certify(plant, actuator, controller)
-        traj = simulate(_short(plant, actuator, controller, x0))
+        traj = simulate(short_scenario(plant, actuator, controller, x0))
         verdict, witness = check_dwell(traj, cert)
         assert verdict is True, witness
     ok("criterion 8f: certified inter-pellet gaps within tau_d over 1000 random runs")

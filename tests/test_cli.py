@@ -23,9 +23,9 @@ def strict_json(text: str):
 
 
 def _module_cli(*args, **kwargs):
-    """`python -m pelletsim ARGS` in a child process, with this tree's source."""
+    """`python -W error -m pelletsim ARGS` in a child process, with this tree's source."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-    return subprocess.Popen([sys.executable, "-m", "pelletsim", *args], env=env,
+    return subprocess.Popen([sys.executable, "-W", "error", "-m", "pelletsim", *args], env=env,
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, **kwargs)
 
 
@@ -57,12 +57,9 @@ def test_verify_without_svg_removes_an_earlier_plot(tmp_path, capsys):
     assert main(["verify", NM, "-o", str(out), "--svg"]) == 0
     written = {path.name: path.read_bytes() for path in out.iterdir()}
     assert sorted(written) == ["plot.svg", "summary.json", "trajectory.csv"]
-    # a run refused for a number JSON cannot hold writes and removes nothing;
-    # run as a child process, as numpy warns of the overflow on stderr
-    refused = _module_cli("verify", _nm_with({"plant": {"r": 1.7e308}, "init": {"x0": 5e29}},
-                                             tmp_path), "-o", str(out))
-    refused.communicate(timeout=120)
-    assert refused.returncode == 2
+    # a run refused for a number JSON cannot hold writes and removes nothing
+    refused = _nm_with({"plant": {"r": 1.7e308}}, tmp_path, SCENARIO_DIR / "sdm_ic_fast.json")
+    assert main(["verify", refused, "-o", str(out)]) == 2
     assert {path.name: path.read_bytes() for path in out.iterdir()} == written
     assert main(["verify", NM, "-o", str(out)]) == 0
     assert sorted(path.name for path in out.iterdir()) == ["summary.json", "trajectory.csv"]
@@ -261,13 +258,12 @@ def test_tick_far_past_the_limit_is_infeasible(base, sections, tmp_path, capsys)
     assert json.loads(summary)["certificate"] == cert
 
 
-# a number past the float range in summary.json or the certificate: r =
-# 1.7e308 overflows the steady mean's sum, and SDM_IC's (r - alpha)*e**(2 t_c/tau)
-# takes delta_max to -inf.  Run as a child process: numpy warns of the
-# overflow on stderr, which the tests would raise
+# a number past the float range in summary.json or the certificate: at r =
+# 1.7e308, SDM_IC's (r - alpha)*e**(2 t_c/tau) takes delta_max to -inf.  Run
+# as a child process, where a warning would end in a traceback
 @pytest.mark.parametrize("argv, base, sections, error", [
-    pytest.param(["verify", "-o"], NM, {"plant": {"r": 1.7e308}, "init": {"x0": 5e29}},
-                 "verify.metrics.mean_x_steady is inf", id="summary"),
+    pytest.param(["verify", "-o"], SCENARIO_DIR / "sdm_ic_fast.json", {"plant": {"r": 1.7e308}},
+                 "certificate.delta_max is -inf", id="summary"),
     pytest.param(["certify"], SCENARIO_DIR / "sdm_ic_fast.json", {"plant": {"r": 1.7e308}},
                  "delta_max is -inf", id="certificate"),
 ])
@@ -280,19 +276,30 @@ def test_number_json_cannot_hold_is_usage_error(argv, base, sections, error, tmp
     assert "Infinity" not in out and not (tmp_path / "out" / "summary.json").exists()
 
 
+def test_steady_mean_near_the_float_range_is_finite(tmp_path):
+    # at r = 1.7e308 the steady window's sum overflows (numpy warned of it)
+    path = _nm_with({"plant": {"r": 1.7e308}, "init": {"x0": 5e29}}, tmp_path)
+    proc = _module_cli("verify", path, "-o", str(tmp_path / "out"))
+    proc.communicate(timeout=120)
+    assert proc.returncode == 0
+    metrics = strict_json((tmp_path / "out" / "summary.json").read_text())["verify"]["metrics"]
+    assert metrics["min_x_steady"] <= metrics["mean_x_steady"] == pytest.approx(1.6977e308, 1e-4)
+
+
 # RK4's step factor g = 1 + z + z**2/2 + z**3/6 + z**4/24, z = -h/tau, passes 1
 # at h = 2.785 tau: nm_tracking's step at 1000 steps a tick is 1.43e-5 s, and
 # the oracle diverged with an OverflowError (g = 2.99), a TypeError (g =
 # 1.024) or, at h/tau = inf, a ZeroDivisionError.  The tail: at 100 steps,
-# 1.49 steps left over take one step of 2.98 tau (g = 1.33) after ticks of
-# 2 tau (g = 0.33); 0.51 of them, one step of 1.02 tau (g = 0.37)
+# 1.49 steps left over once took one step of 2.98 tau (g = 1.33) after ticks
+# of 2 tau (g = 0.33); rounded up, two of 1.49 tau (g = 0.27).  0.51 of
+# them take one step of 1.02 tau (g = 0.37)
 @pytest.mark.parametrize("sections, steps, code", [
     pytest.param({"plant": {"tau": 4e-6}}, [], 2, id="g-2.99"),
     pytest.param({"plant": {"tau": 5.1e-6}}, [], 2, id="g-1.024"),
     pytest.param({"plant": {"tau": 5e-324}}, [], 2, id="g-nan"),
     pytest.param({"plant": {"tau": 5.3e-6}}, [], 0, id="g-0.873"),
     pytest.param({"plant": {"tau": 1 / 70 / 200}, "sim": {"t_end": 5.0149 / 70}},
-                 ["--oracle-steps", "100"], 2, id="tail-g-1.33"),
+                 ["--oracle-steps", "100"], 0, id="tail-g-1.33"),
     pytest.param({"plant": {"tau": 1 / 70 / 200}, "sim": {"t_end": 5.0051 / 70}},
                  ["--oracle-steps", "100"], 0, id="tail-g-0.37"),
 ])

@@ -1,5 +1,6 @@
-"""The array forms of the flow, and the engine's samples, against the scalar
-closed forms bit for bit."""
+"""The array forms of the flow against the scalar closed forms bit for bit,
+and the engine's samples against test_replay's reference recurrence, which
+takes every sample from the scalar closed forms."""
 
 import math
 
@@ -7,24 +8,18 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pelletsim import ActuatorSpec, ControllerSpec, HybridState, PlantParams, Scenario, Variant
-from pelletsim import flow_x, flow_xi, simulate, tick_jump
-from pelletsim.engine import _TICK_EPS
+from pelletsim import ActuatorSpec, ControllerSpec, PlantParams, Scenario, Variant
+from pelletsim import flow_x, flow_xi, simulate
 from pelletsim.flow import BOUNDARY_SNAP, flow_x_grid, flow_xi_grid
 
-finite = dict(allow_nan=False, allow_infinity=False)
+from conftest import finite, plants
+from test_replay import assert_matches_the_reference
+
 SPT = [1, 2, 3, 10, 20]
 
 
 def bits(values):
     return np.asarray(values, dtype=np.float64).view(np.int64)
-
-
-@st.composite
-def plants(draw):
-    alpha = draw(st.floats(1e18, 5e19, **finite))
-    return PlantParams(tau=draw(st.floats(0.01, 1.0, **finite)),
-                       r=alpha * draw(st.floats(1.1, 10.0, **finite)), alpha=alpha)
 
 
 @st.composite
@@ -104,37 +99,6 @@ def test_expm1_runs_only_on_the_lanes_whose_increment_is_kept(monkeypatch):
                               for a in x0])).all()
 
 
-def scalar_samples(scenario):
-    """t, j, x and xi with one flow_x/flow_xi call per sample, in time order."""
-    plant, t_c, spt, x_sat = (scenario.plant, scenario.actuator.t_c,
-                              scenario.samples_per_tick, scenario.x_sat)
-    n_ticks = int(math.floor(scenario.t_end / t_c + _TICK_EPS))
-    offsets = [t_c * (m / spt) for m in range(1, spt + 1)]
-    x, xi, since_fire = scenario.x0, scenario.xi0, 0
-    ts, js, xs, xis = [0.0], [0], [x], [xi]
-    for k in range(n_ticks):
-        ts += [t_c * (k + m / spt) for m in range(1, spt + 1)] + [t_c * (k + 1)]
-        js += [k] * spt + [k + 1]
-        xs += [flow_x(x, dt, plant) for dt in offsets]
-        xis += [flow_xi(x, xi, dt, plant, x_sat) for dt in offsets]
-        since_fire += 1
-        outcome = tick_jump(HybridState(xs[-1], xis[-1]), since_fire, plant, scenario.controller,
-                            scenario.actuator)
-        x, xi = outcome.state_after.x, outcome.state_after.xi
-        xs.append(x)
-        xis.append(xi)
-        if outcome.fired:
-            since_fire = 0
-    remainder = scenario.t_end - t_c * n_ticks
-    if remainder > _TICK_EPS * t_c:
-        dts = [dt for dt in offsets if dt < remainder - _TICK_EPS * t_c] + [remainder]
-        ts += [t_c * (n_ticks + m / spt) for m in range(1, len(dts))] + [scenario.t_end]
-        js += [n_ticks] * len(dts)
-        xs += [flow_x(x, dt, plant) for dt in dts]
-        xis += [flow_xi(x, xi, dt, plant, x_sat) for dt in dts]
-    return ts, js, xs, xis
-
-
 @given(plants(), st.sampled_from(list(Variant)), st.sampled_from(SPT), st.integers(0, 40),
        st.floats(0.01, 0.99, **finite), st.floats(-3.0, 1.0, **finite),
        st.sampled_from([0.0, 0.5, 3.0]), st.floats(1e-3, 2.0, **finite))
@@ -148,9 +112,5 @@ def test_engine_samples_equal_scalar_path_with_partial_last_interval(
                         x0=x0 * plant.r, xi0=xi0 * delta, t_end=t_c * (ticks + part),
                         samples_per_tick=spt)
     traj = simulate(scenario)
-    ts, js, xs, xis = scalar_samples(scenario)
     assert traj.t[-1] == scenario.t_end  # the last interval is partial
-    assert (bits(traj.t) == bits(ts)).all()
-    assert traj.j.tolist() == js
-    assert (bits(traj.x) == bits(xs)).all()
-    assert (bits(traj.xi) == bits(xis)).all()
+    assert_matches_the_reference(traj, scenario)

@@ -11,8 +11,6 @@ from pelletsim import (
     ActuatorSpec,
     ControllerSpec,
     HybridState,
-    PlantParams,
-    Scenario,
     Variant,
     certify,
     check_contraction,
@@ -26,18 +24,9 @@ from pelletsim import (
     tick_jump,
 )
 
-finite = dict(allow_nan=False, allow_infinity=False)
+from conftest import finite, plants, short_scenario
 
-taus = st.floats(0.01, 1.0, **finite)
-alphas = st.floats(1e18, 5e19, **finite)
-ratios = st.floats(1.1, 10.0, **finite)
 fractions = st.floats(1e-6, 1.0, **finite)
-
-
-@st.composite
-def plants(draw):
-    alpha = draw(alphas)
-    return PlantParams(tau=draw(taus), r=alpha * draw(ratios), alpha=alpha)
 
 
 @st.composite
@@ -88,11 +77,6 @@ def configurations(draw):
     frac = draw(st.just(1.0) | st.floats(1e-3, 1.5, **finite))
     delta = frac * scale if frac * scale > 0.0 else frac * plant.alpha * t_c
     return plant, actuator, ControllerSpec(draw(st.sampled_from(list(Variant))), delta)
-
-
-def short_scenario(plant, actuator, controller, x0, cycles=4.0):
-    t_end = max(cycles * plant.tau_d, 3.0 * actuator.t_c)
-    return Scenario(plant, actuator, controller, x0=x0, t_end=t_end, samples_per_tick=1)
 
 
 class TestFlowProperties:

@@ -2,9 +2,10 @@
 
 Once a post-fire state repeats bit for bit, simulate copies the rest of the
 run from one period back instead of ticking it.  The reference here ticks
-every tick: per tick one scalar flow_x/flow_xi call and
-controllers.tick_jump, and the interior samples from flow_x_grid/flow_xi_grid
-one row at a time.  All five columns must match byte for byte.
+every tick, with one scalar flow_x/flow_xi call per sample and
+controllers.tick_jump per tick, so it shares no array code with simulate's
+interior samples.  It is the one reference tick recurrence of the tests:
+all five columns of simulate must match it byte for byte.
 """
 
 import hashlib
@@ -17,57 +18,58 @@ from hypothesis import strategies as st
 
 from pelletsim import (ActuatorSpec, ControllerSpec, HybridState, PlantParams, Scenario, Variant,
                        controllers, simulate, simulate_numeric)
-from pelletsim.flow import flow_x, flow_x_grid, flow_xi, flow_xi_grid
+from pelletsim.flow import flow_x, flow_xi
 
 from test_golden import stretched
 
 
 def reference_columns(scenario: Scenario) -> tuple[np.ndarray, ...]:
-    """simulate's (t, j, x, xi, fired) by ticking every tick.  Row i of the
-    tick grid starts at t = i*t_c: its start state, its interior samples
-    at t_c*m/spt, and the pre-jump state of tick i + 1; a partial last
-    interval keeps the interior samples that fit and ends at t_end."""
+    """simulate's (t, j, x, xi, fired) by ticking every tick, each sample
+    from one scalar flow_x/flow_xi call.  Tick i's samples are its start
+    state at t = i*t_c, then the flow from it to t = t_c*(i + m/spt) for
+    m = 1..spt; the last of these is the pre-jump state of the jump to tick
+    i + 1.  A partial last interval keeps the interior samples that fit
+    and ends at t_end."""
     plant, actuator, controller = scenario.plant, scenario.actuator, scenario.controller
     t_c, spt, x_sat = actuator.t_c, scenario.samples_per_tick, scenario.x_sat
     n_ticks, remainder = scenario.horizon_ticks()
-    offsets = [t_c * (m / spt) for m in range(1, spt)]
-    t, j, x_col, xi_col = array("d"), array("q"), array("d"), array("d")
-    fired = bytearray()
+    offsets = [t_c * (m / spt) for m in range(1, spt + 1)]  # the last is t_c*1.0 == t_c
+    cols = array("d"), array("q"), array("d"), array("d"), array("b")  # t, j, x, xi, fired
+    x_col, xi_col = cols[2:4]
 
-    def sample(i, m, x, xi, fire=False):
-        t.append((i + m / spt) * t_c)
-        j.append(i)
-        x_col.append(x)
-        xi_col.append(xi)
-        fired.append(fire)
+    def sample(t_k, i, x, xi, fire=False):
+        for col, value in zip(cols, (t_k, i, x, xi, fire)):
+            col.append(value)
+
+    def flow_samples(i, x, xi, dts):
+        """The flow from tick i's start state (x, xi) over each of dts."""
+        for m, dt in enumerate(dts, start=1):
+            sample((i + m / spt) * t_c, i, flow_x(x, dt, plant), flow_xi(x, xi, dt, plant, x_sat))
 
     x, xi, fire, since_fire = scenario.x0, scenario.xi0, False, 0
-    for i in range(n_ticks + 1):
-        sample(i, 0, x, xi, fire)
-        interior = offsets if i < n_ticks else [dt for dt in offsets
-                                                if dt < remainder - 1e-9 * t_c]
-        if interior:
-            xs = flow_x_grid(np.array([x]), interior, plant)[0]
-            xis = flow_xi_grid(np.array([x]), np.array([xi]), interior, plant, x_sat)[0]
-            for m, (x_m, xi_m) in enumerate(zip(xs.tolist(), xis.tolist()), start=1):
-                sample(i, m, x_m, xi_m)
-        if i == n_ticks:
-            break
-        x_pre, xi_pre = flow_x(x, t_c, plant), flow_xi(x, xi, t_c, plant, x_sat)
-        sample(i, spt, x_pre, xi_pre)
+    for i in range(n_ticks):
+        sample(i * t_c, i, x, xi, fire)
+        flow_samples(i, x, xi, offsets)
         since_fire += 1
-        outcome = controllers.tick_jump(HybridState(x_pre, xi_pre), since_fire, plant,
+        outcome = controllers.tick_jump(HybridState(x_col[-1], xi_col[-1]), since_fire, plant,
                                         controller, actuator)
         x, xi, fire = outcome.state_after.x, outcome.state_after.xi, outcome.fired
         since_fire = 0 if fire else since_fire
+    sample(n_ticks * t_c, n_ticks, x, xi, fire)
     if remainder > 0.0:
-        t.append(scenario.t_end)
-        j.append(n_ticks)
-        x_col.append(flow_x(x, remainder, plant))
-        xi_col.append(flow_xi(x, xi, remainder, plant, x_sat))
-        fired.append(False)
-    return (np.frombuffer(t), np.frombuffer(j, dtype=np.int64), np.frombuffer(x_col),
-            np.frombuffer(xi_col), np.frombuffer(bytes(fired), dtype=bool))
+        flow_samples(n_ticks, x, xi, [dt for dt in offsets[:-1] if dt < remainder - 1e-9 * t_c])
+        sample(scenario.t_end, n_ticks, flow_x(x, remainder, plant),
+               flow_xi(x, xi, remainder, plant, x_sat))
+    return tuple(np.frombuffer(col, dtype)
+                 for col, dtype in zip(cols, (float, np.int64, float, float, bool)))
+
+
+def assert_matches_the_reference(traj, scenario: Scenario) -> tuple[np.ndarray, ...]:
+    """traj's five columns equal reference_columns(scenario) byte for byte."""
+    reference = reference_columns(scenario)
+    for got, want in zip(columns(traj), reference):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    return reference
 
 
 def column_digest(columns) -> str:
@@ -137,9 +139,7 @@ def _run(variant, l=1, x0=PLANT.r, ticks=1000.5, spt=10):
 @example(_run(Variant.SDM_JM, ticks=4000.75))
 def test_simulate_matches_the_plain_recurrence_byte_for_byte(scenario):
     traj = simulate(scenario)
-    reference = reference_columns(scenario)
-    for got, want in zip(columns(traj), reference):
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    reference = assert_matches_the_reference(traj, scenario)
     if traj.orbit is not None:
         assert_orbit_is_the_first_repeat(traj)
     # the search compares post-fire states with ==, which equates -0.0 and
@@ -172,7 +172,7 @@ def test_stretched_runs_report_their_orbit(name, orbit, pellets):
     scenario = stretched(name)
     traj = simulate(scenario)
     assert traj.orbit == orbit
-    assert column_digest(columns(traj)) == column_digest(reference_columns(scenario))
+    assert_matches_the_reference(traj, scenario)
     if orbit is not None:
         first, period = orbit
         in_period = (traj.j >= first) & (traj.j < first + period)
