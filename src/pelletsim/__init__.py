@@ -8,6 +8,7 @@ from .core import (
     ActuatorSpec,
     Certificate,
     ControllerSpec,
+    EmptyTrajectory,
     HybridState,
     HybridTime,
     NonPositiveParam,
@@ -20,7 +21,7 @@ from .core import (
     r_max,
     validate,
 )
-from .engine import EmptyTrajectory, Scenario, simulate, steady_state_window
+from .engine import Scenario, simulate, steady_state_window
 from .flow import flow_x, flow_xi, sat_crossing_time, zero_crossing_time
 from .io import (
     EmptyAxis,

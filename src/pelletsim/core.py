@@ -36,6 +36,10 @@ class NonPositiveParam(ValidationError):
     """A parameter that must be positive (or nonnegative) is not."""
 
 
+class EmptyTrajectory(ValidationError):
+    """A trajectory without a row: it has no initial state and no t_end."""
+
+
 class Variant(str, Enum):
     """Controller variant: what happens to xi when a pellet fires.
 
@@ -230,13 +234,15 @@ class Trajectory:
             object.__setattr__(self, name, column)
         if not len(self.t) == len(self.j) == len(self.x) == len(self.xi) == len(self.fired):
             raise ValidationError("trajectory columns differ in length")
+        if not len(self.t):
+            raise EmptyTrajectory("a trajectory holds at least its initial row")
 
     def __len__(self) -> int:
         return len(self.t)
 
     @property
     def t_end(self) -> float:
-        return float(self.t[-1]) if len(self.t) else 0.0
+        return float(self.t[-1])
 
     def timers(self, rows: slice = slice(None),
                last_fire: float = 0.0) -> tuple[np.ndarray, np.ndarray]:

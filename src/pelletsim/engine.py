@@ -29,8 +29,11 @@ contraction, whose orbits are eventually periodic (Nogueira, Pires &
 Rosales, Nonlinearity 27, 2014), and in floats the shipped NM runs reach
 an exact cycle within a few thousand ticks.  The search is Brent's (BIT
 20, 1980): each fire compares its state with one saved post-fire state,
-which moves on after 1, 2, 4, ... fires, so a run that never repeats pays
-a float comparison per fire and keeps O(1) state.  The orbit found is the
+which moves on after 1, 2, 3, 4, 6, 8, 11, 14, ... fires, each stretch a
+quarter longer than the last plus one, so a run that never repeats pays a
+float comparison per fire and keeps O(1) state.  Brent's stretches double,
+so a repeat can be seen up to twice the orbit's entry late; these see it
+about a quarter late, plus a period.  The orbit found is the
 trajectory's `orbit`: (first post-fire tick, period in ticks).
 
 The array forms are exact, not approximate: every sample is bit-identical
@@ -62,10 +65,6 @@ from .core import (
 
 # relative slack used when counting whole ticks inside a horizon
 _TICK_EPS = 1e-9
-
-
-class EmptyTrajectory(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -178,7 +177,7 @@ def simulate(scenario: Scenario) -> Trajectory:
                 break
             if lam == power:
                 saved_x, saved_xi, saved_k = x, xi, k
-                power, lam = 2 * power, 0
+                power, lam = power + power // 4 + 1, 0
             lam += 1
 
     # a partial last interval: the interior samples that fit, then t_end
@@ -249,6 +248,4 @@ def _replay(grids: tuple[np.ndarray, ...], lo: int, period: int) -> None:
 def steady_state_window(traj: Trajectory) -> int:
     """The first row of the steady-state window, the trailing half of the run:
     the first row with t >= t_end/2 (the rows are in time order)."""
-    if len(traj) == 0:
-        raise EmptyTrajectory("cannot take a steady-state window of an empty trajectory")
     return int(np.searchsorted(traj.t, traj.t_end * 0.5))

@@ -64,11 +64,15 @@ def certified_bound(traj: Trajectory, cert: Certificate, rows: slice = slice(Non
 
 def check_envelope(traj: Trajectory, cert: Certificate) -> tuple[bool | None, CheckWitness | None]:
     """Every row the certificate bounds inside its bound (lower exclusive, upper
-    inclusive, relative slack 1e-9).  Not applicable without a feasible one."""
+    inclusive, relative slack 1e-9 of r, or of |x[0]| under an envelope from
+    an x[0] past r).  Not applicable without a feasible one."""
     if not cert.feasible:
         return None, None
     first, lower, upper = certified_bound(traj, cert)
-    x, eps = traj.x[first:], _REL_SLACK * traj.plant.r
+    scale = traj.plant.r
+    if cert.bound_scope == "trajectory":  # the envelope's lower bound is x[0] at t = 0
+        scale = max(scale, abs(float(traj.x[0])))
+    x, eps = traj.x[first:], _REL_SLACK * scale
     i = _first(~((lower - eps < x) & (x <= upper + eps)))
     if i is None:
         return True, None
@@ -94,7 +98,7 @@ def _cycles(traj: Trajectory) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     strictly later in time, or -1 when there is none."""
     fire_rows = np.flatnonzero(traj.fired)
     starts = np.flatnonzero(traj.fired & (traj.x > 0.0))
-    if len(traj) and traj.x[0] > 0.0:
+    if traj.x[0] > 0.0:
         starts = np.concatenate(([0], starts))
     nxt = np.searchsorted(traj.t[fire_rows], traj.t[starts], side="right")
     next_fire = np.append(fire_rows, -1)[nxt]

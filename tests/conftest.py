@@ -5,13 +5,23 @@ from pelletsim import ActuatorSpec, ControllerSpec, PlantParams, Scenario, Varia
 
 finite = dict(allow_nan=False, allow_infinity=False)  # the property tests' float draws
 
+# The ranges of the random plants and certified setups.  The hypothesis
+# strategies and the acceptance suite's seeded loops both read them.
+ALPHA_RANGE = (1e18, 5e19)  # the pellet increment alpha
+TAU_RANGE = (0.01, 1.0)  # the time constant tau
+R_RANGE = (1.1, 10.0)  # the reference r, in units of alpha
+TC_RANGE = (0.05, 0.95)  # a certified tick t_c, in units of the dwell bound tau_d
+FRACTION_RANGE = (1e-6, 1.0)  # a certified delta in units of delta_max, and x0 in units of r
+
+PLANT = PlantParams(tau=0.1, r=5e19, alpha=1e19)  # nm_tracking's, and the `plant` fixture
+
 
 @st.composite
 def plants(draw):
-    """alpha in [1e18, 5e19], tau in [0.01, 1] and r from 1.1 to 10 alpha."""
-    alpha = draw(st.floats(1e18, 5e19, **finite))
-    return PlantParams(tau=draw(st.floats(0.01, 1.0, **finite)),
-                       r=alpha * draw(st.floats(1.1, 10.0, **finite)), alpha=alpha)
+    """alpha, tau and r/alpha uniform over ALPHA_RANGE, TAU_RANGE and R_RANGE."""
+    alpha = draw(st.floats(*ALPHA_RANGE, **finite))
+    return PlantParams(tau=draw(st.floats(*TAU_RANGE, **finite)),
+                       r=alpha * draw(st.floats(*R_RANGE, **finite)), alpha=alpha)
 
 
 def short_scenario(plant, actuator, controller, x0, cycles=4.0):
@@ -22,7 +32,7 @@ def short_scenario(plant, actuator, controller, x0, cycles=4.0):
 
 @pytest.fixture
 def plant():
-    return PlantParams(tau=0.1, r=5e19, alpha=1e19)
+    return PLANT
 
 
 @pytest.fixture

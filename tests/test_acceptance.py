@@ -1,7 +1,10 @@
 """Acceptance suite: one test per release criterion, each printing a
 pass/fail line (run with -s to stream them).
 
-Randomized suites use seeded generators so the run is reproducible.
+Randomized suites use seeded generators so the run is reproducible.  They
+are the release record of claims whose one home is a hypothesis test in
+test_properties.py, which explores further.  Both take their random plants
+and certified setups from the ranges in conftest.py.
 """
 
 import math
@@ -35,7 +38,8 @@ from pelletsim import (
     tick_jump,
 )
 
-from conftest import make_scenario, short_scenario
+from conftest import (ALPHA_RANGE, FRACTION_RANGE, R_RANGE, TAU_RANGE, TC_RANGE, make_scenario,
+                      short_scenario)
 
 ALPHA = 1e19
 
@@ -146,19 +150,19 @@ def test_criterion_7_oracle_equivalence(nm_tracking, ic_fast, jm_tracking):
 
 
 def _random_plant(rng):
-    alpha = rng.uniform(1e18, 5e19)
-    return PlantParams(tau=rng.uniform(0.01, 1.0), r=alpha * rng.uniform(1.1, 10.0), alpha=alpha)
+    alpha = rng.uniform(*ALPHA_RANGE)
+    return PlantParams(tau=rng.uniform(*TAU_RANGE), r=alpha * rng.uniform(*R_RANGE), alpha=alpha)
 
 
 def _random_certified(rng, variant=Variant.NM):
     while True:
         plant = _random_plant(rng)
-        t_c = rng.uniform(0.05, 0.95) * plant.tau_d
+        t_c = rng.uniform(*TC_RANGE) * plant.tau_d
         dm = delta_max(plant, t_c, variant)
         if dm <= 0.0:
             continue
-        delta = rng.uniform(1e-6, 1.0) * dm
-        x0 = rng.uniform(1e-6, 1.0) * plant.r
+        delta = rng.uniform(*FRACTION_RANGE) * dm
+        x0 = rng.uniform(*FRACTION_RANGE) * plant.r
         return plant, ActuatorSpec(t_c=t_c), ControllerSpec(variant, delta), x0
 
 

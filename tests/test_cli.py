@@ -286,6 +286,24 @@ def test_steady_mean_near_the_float_range_is_finite(tmp_path):
     assert metrics["min_x_steady"] <= metrics["mean_x_steady"] == pytest.approx(1.6977e308, 1e-4)
 
 
+# from an x0 far below -r, a feasible certificate failed its own first row:
+# the envelope's lower bound is x0 at t = 0, exclusive, and the slack of
+# 1e-9 r fell below half an ulp of x0 (nm_tracking from x0 = -1e27 on)
+@pytest.mark.parametrize("name, x0", [
+    ("nm_tracking", -1e27),
+    ("nm_tracking", -1e28),
+    ("nm_tracking", -1e30),
+    ("nm_tracking", -1e300),
+    ("sdm_jm", -1e28),
+    ("sdm_ic_fast", -1e28),
+    ("nm_gas_gun", -1e28),
+], ids=lambda value: str(value))
+def test_initial_error_far_below_the_reference_stays_in_its_envelope(name, x0, tmp_path, capsys):
+    path = _nm_with({"init": {"x0": x0}}, tmp_path, SCENARIO_DIR / f"{name}.json")
+    assert main(["verify", path, "-o", str(tmp_path / "out")]) == 0
+    assert "envelope: pass" in capsys.readouterr().out
+
+
 # RK4's step factor g = 1 + z + z**2/2 + z**3/6 + z**4/24, z = -h/tau, passes 1
 # at h = 2.785 tau: nm_tracking's step at 1000 steps a tick is 1.43e-5 s, and
 # the oracle diverged with an OverflowError (g = 2.99), a TypeError (g =

@@ -36,27 +36,11 @@ class TestFlowX:
         t0 = zero_crossing_time(-1e19, plant)
         assert abs(flow_x(-1e19, t0, plant)) <= 1e-9 * plant.r
 
-    def test_never_exceeds_reference(self, plant):
-        rng = np.random.default_rng(7)
-        for _ in range(200):
-            x0 = plant.r - rng.uniform(0.0, 2.0) * plant.r
-            dt = rng.uniform(0.0, 10.0) * plant.tau
-            assert flow_x(x0, dt, plant) <= plant.r
-
     def test_capped_at_reference_once_expm1_rounds_to_minus_one(self):
         # dt = 42.7 tau: expm1 rounds to -1, and x0 + (r - x0) lands one ulp
         # above r unless the result is capped
         plant = PlantParams(tau=0.01171875, r=1.1000000000000001e18, alpha=1e18)
         assert flow_x(4.447382346072437e17, 0.5, plant) == plant.r
-
-    def test_semigroup_property(self, plant):
-        rng = np.random.default_rng(11)
-        for _ in range(500):
-            x0 = plant.r - rng.uniform(0.0, 2.0) * plant.r
-            a, b = rng.uniform(0.0, 3.0 * plant.tau, size=2)
-            chained = flow_x(flow_x(x0, a, plant), b, plant)
-            direct = flow_x(x0, a + b, plant)
-            assert rel(chained, direct, plant.alpha) <= 1e-12
 
 
 class TestCrossingTimes:
@@ -124,15 +108,6 @@ class TestFlowXi:
             gain = flow_xi(x0, 1e15, t_c, plant, x_sat=x_sat) - 1e15
             # up to one round-off each in delta/t_c and the product
             assert gain == pytest.approx(delta, rel=1e-15)
-
-    def test_monotone_in_duration(self, plant):
-        rng = np.random.default_rng(3)
-        for _ in range(200):
-            x0 = plant.r - rng.uniform(0.0, 2.0) * plant.r
-            xi0 = rng.uniform(0.0, 1e17)
-            d1, d2 = sorted(rng.uniform(0.0, 3.0 * plant.tau, size=2))
-            assert flow_xi(x0, xi0, d1, plant) <= flow_xi(x0, xi0, d2, plant)
-            assert flow_xi(x0, xi0, d1, plant) >= xi0
 
     def test_zero_duration_is_identity(self, plant):
         assert flow_xi(1e19, 5e16, 0.0, plant) == 5e16

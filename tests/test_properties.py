@@ -4,18 +4,16 @@ import math
 from decimal import Decimal
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pelletsim import (
     ActuatorSpec,
     ControllerSpec,
     HybridState,
+    Scenario,
     Variant,
     certify,
-    check_contraction,
-    check_dwell,
-    check_envelope,
     delta_max,
     flow_x,
     flow_xi,
@@ -24,16 +22,16 @@ from pelletsim import (
     tick_jump,
 )
 
-from conftest import finite, plants, short_scenario
+from conftest import FRACTION_RANGE, PLANT, TC_RANGE, finite, plants, short_scenario
 
-fractions = st.floats(1e-6, 1.0, **finite)
+fractions = st.floats(*FRACTION_RANGE, **finite)
 
 
 @st.composite
 def certified_setups(draw, variant=Variant.NM):
     """Plant, actuator and threshold satisfying every tuning condition."""
     plant = draw(plants())
-    t_c = draw(st.floats(0.05, 0.95, **finite)) * plant.tau_d
+    t_c = draw(st.floats(*TC_RANGE, **finite)) * plant.tau_d
     dm = delta_max(plant, t_c, variant)
     assume(dm > 0.0)
     delta = draw(fractions) * dm
@@ -50,13 +48,25 @@ def gated_setups(draw, variant=Variant.NM):
     side of l*t_c summed or multiplied in floating point."""
     plant = draw(plants())
     l = draw(st.integers(1, 8))
-    t_c = float(f"{draw(st.floats(0.05, 0.95, **finite)) * plant.tau_d / l:.3g}")
+    t_c = float(f"{draw(st.floats(*TC_RANGE, **finite)) * plant.tau_d / l:.3g}")
     actuator = ActuatorSpec(t_c=t_c, t_prep=float(Decimal(repr(t_c)) * l))
     dm = delta_max(plant, t_c, variant, l)
     assume(dm > 0.0)
     delta = draw(fractions) * dm
     assume(delta > 0.0)
     return plant, actuator, ControllerSpec(variant, delta), l
+
+
+@st.composite
+def certified_runs(draw):
+    """A certified NM or SDM_JM run, with or without a preparation gate, over
+    4-14 dwell times at one sample a tick.  It starts from x0 in (0, r], or
+    from x0 = -r*10**U(0, 12), at or far below -r."""
+    variant = draw(st.sampled_from([Variant.NM, Variant.SDM_JM]))
+    plant, actuator, controller, _ = draw(certified_setups(variant) | gated_setups(variant))
+    x0 = plant.r * draw(fractions | st.floats(0.0, 12.0, **finite).map(lambda e: -10.0**e))
+    return short_scenario(plant, actuator, controller, x0,
+                          cycles=draw(st.floats(4.0, 14.0, **finite)))
 
 
 @st.composite
@@ -82,7 +92,8 @@ def configurations(draw):
 class TestFlowProperties:
     @given(plants(), st.floats(0.0, 2.0, **finite), st.floats(0.0, 0.3, **finite),
            st.floats(0.0, 0.3, **finite))
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=500, deadline=None)
+    @example(PLANT, 2.0, 0.3, 0.3)
     def test_semigroup(self, plant, drop, a, b):
         x0 = plant.r * (1.0 - drop)
         chained = flow_x(flow_x(x0, a, plant), b, plant)
@@ -93,19 +104,23 @@ class TestFlowProperties:
     @given(plants(), st.floats(0.0, 2.0, **finite), st.floats(0.0, 0.5, **finite),
            st.floats(0.0, 0.5, **finite), st.floats(0.0, 1e18, **finite))
     @settings(max_examples=300, deadline=None)
+    @example(PLANT, 2.0, 0.0, 0.3, 1e17)
     def test_membrane_monotone_and_frozen_below_zero(self, plant, drop, d1, d2, xi0):
         x0 = plant.r * (1.0 - drop)
         lo, hi = min(d1, d2), max(d1, d2)
-        assert flow_xi(x0, xi0, lo, plant) <= flow_xi(x0, xi0, hi, plant)
+        assert xi0 <= flow_xi(x0, xi0, lo, plant) <= flow_xi(x0, xi0, hi, plant)
         if x0 < 0.0:
             crossing = plant.tau * math.log1p(-x0 / plant.r)
             assert flow_xi(x0, xi0, 0.5 * crossing, plant) == xi0
 
-    @given(plants(), st.floats(0.0, 1.0, **finite), st.floats(0.0, 0.5, **finite))
+    @given(plants(), st.floats(0.0, 2.0, **finite), st.floats(0.0, 1.0, **finite))
     @settings(max_examples=300, deadline=None)
-    def test_flow_never_exceeds_reference(self, plant, frac, dt):
-        x0 = plant.r * frac
-        assert flow_x(x0, dt, plant) <= plant.r
+    @example(PLANT, 2.0, 1.0)
+    @example(PLANT, 0.0, 1.0)
+    def test_flow_never_exceeds_reference(self, plant, drop, share):
+        # from x0 in [-r, r], for a share of max(0.5 s, 10 tau)
+        x0 = plant.r * (1.0 - drop)
+        assert flow_x(x0, share * max(0.5, 10.0 * plant.tau), plant) <= plant.r
 
 
 class TestJumpProperties:
@@ -152,54 +167,19 @@ class TestCertificateProperties:
 
 
 class TestTrajectoryProperties:
-    @given(certified_setups(), st.sampled_from(list(Variant)))
+    @given(certified_setups(), st.sampled_from(list(Variant)), st.sampled_from([1, 2, 10]),
+           st.floats(3.0, 80.0, **finite))
     @settings(max_examples=100, deadline=None)
-    def test_zeno_bound_for_every_variant(self, setup, variant):
+    # the jm_tracking fixture: 1 s at 10 samples a tick
+    @example((PLANT, ActuatorSpec(t_c=1 / 70), ControllerSpec(Variant.SDM_JM, 1.569e16), PLANT.r),
+             Variant.SDM_JM, 10, 70.0)
+    def test_zeno_bound_for_every_variant(self, setup, variant, samples_per_tick, ticks):
         plant, actuator, controller, x0 = setup
-        scenario = short_scenario(plant, actuator, ControllerSpec(variant, controller.delta), x0)
-        traj = simulate(scenario)
         t_c = actuator.t_c
+        traj = simulate(Scenario(plant, actuator, ControllerSpec(variant, controller.delta), x0=x0,
+                                 t_end=ticks * t_c, samples_per_tick=samples_per_tick))
         for t, j in zip(traj.t.tolist(), traj.j.tolist()):
             assert j <= math.floor(t / t_c + 1e-9) + 1
-
-    @given(certified_setups())
-    @settings(max_examples=100, deadline=None)
-    def test_certified_reset_runs_stay_in_envelope(self, setup):
-        plant, actuator, controller, x0 = setup
-        cert = certify(plant, actuator, controller)
-        assert cert.feasible
-        traj = simulate(short_scenario(plant, actuator, controller, x0))
-        ok, witness = check_envelope(traj, cert)
-        assert ok is True, witness
-
-    @given(certified_setups())
-    @settings(max_examples=100, deadline=None)
-    def test_certified_cycles_contract(self, setup):
-        plant, actuator, controller, x0 = setup
-        cert = certify(plant, actuator, controller)
-        traj = simulate(short_scenario(plant, actuator, controller, x0))
-        ok, witness = check_contraction(traj, cert)
-        assert ok is True, witness
-
-    @given(certified_setups())
-    @settings(max_examples=100, deadline=None)
-    def test_certified_gaps_within_dwell_bound(self, setup):
-        plant, actuator, controller, x0 = setup
-        cert = certify(plant, actuator, controller)
-        traj = simulate(short_scenario(plant, actuator, controller, x0))
-        ok, witness = check_dwell(traj, cert)
-        assert ok is True, witness
-
-    @given(certified_setups(variant=Variant.SDM_JM))
-    @settings(max_examples=100, deadline=None)
-    def test_multi_subtraction_variant_keeps_reset_family_bounds(self, setup):
-        plant, actuator, controller, x0 = setup
-        cert = certify(plant, actuator, controller)
-        assert cert.feasible
-        traj = simulate(short_scenario(plant, actuator, controller, x0))
-        assert check_envelope(traj, cert)[0] is True
-        residues = traj.xi[traj.fired]
-        assert np.all((0.0 <= residues) & (residues < controller.delta))
 
     @given(gated_setups(), st.sampled_from([Variant.NM, Variant.SDM_JM]))
     @settings(max_examples=200, deadline=None)
@@ -215,13 +195,25 @@ class TestTrajectoryProperties:
         assert len(fire_ticks) >= 2
         assert np.diff(fire_ticks).min() == l
 
-    @given(gated_setups(), st.sampled_from([Variant.NM, Variant.SDM_JM]), fractions)
-    @settings(max_examples=200, deadline=None)
-    def test_feasible_certificate_implies_every_check_passes(self, setup, variant, frac):
-        plant, actuator, controller, _ = setup
-        controller = ControllerSpec(variant, controller.delta)
-        cert = certify(plant, actuator, controller)
+    @given(certified_runs())
+    @settings(max_examples=600, deadline=None)
+    # nm_tracking's tuning over 0.3 s (13.4 dwell times) from either end of x0 in [1e16, r]
+    @example(Scenario(PLANT, ActuatorSpec(t_c=1 / 70), ControllerSpec(Variant.NM, 1.569e16),
+                      x0=1e16, t_end=0.3, samples_per_tick=1))
+    @example(Scenario(PLANT, ActuatorSpec(t_c=1 / 70), ControllerSpec(Variant.NM, 1.569e16),
+                      x0=PLANT.r, t_end=0.3, samples_per_tick=1))
+    def test_feasible_certificate_implies_every_check_passes(self, scenario):
+        controller = scenario.controller
+        cert = certify(scenario.plant, scenario.actuator, controller)
         assert cert.feasible
-        traj = simulate(short_scenario(plant, actuator, controller, frac * plant.r))
+        traj = simulate(scenario)
         rep = report(traj, cert)
         assert rep.all_applicable_pass(), rep.failures()
+        # the run stays in the envelope, and each gap from a positive error
+        # to the next fire is within tau_d
+        assert rep.verdicts["envelope"] is True and rep.verdicts["dwell"] is True
+        if controller.variant is Variant.NM:  # each cycle from x > 0 contracts by gamma
+            assert rep.verdicts["contraction"] is True
+        else:  # each fire subtracts whole thresholds and leaves a residue in [0, delta)
+            residues = traj.xi[traj.fired]
+            assert np.all((0.0 <= residues) & (residues < controller.delta))

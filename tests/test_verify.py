@@ -157,18 +157,6 @@ class TestContraction:
         traj, cert = run(jm_tracking)
         assert check_contraction(traj, cert) == (None, None)
 
-    def test_random_positive_starts_contract(self, plant):
-        import numpy as np
-
-        rng = np.random.default_rng(5)
-        for _ in range(100):
-            x0 = rng.uniform(1e16, plant.r)
-            sc = make_scenario(plant, Variant.NM, 1.569e16, 1 / 70, x0=x0, t_end=0.3,
-                               samples_per_tick=1)
-            traj, cert = run(sc)
-            ok, witness = check_contraction(traj, cert)
-            assert ok is True, (x0, witness)
-
 
 class TestWindup:
     def test_plain_sigma_delta_detected(self, sdm_windup):
