@@ -78,10 +78,18 @@ def envelope(t, x0: float, plant: PlantParams):
     if x0 > 0.0:
         upper = plant.gamma ** (t / plant.tau_d - 1.0) * x0 + plant.alpha
         return (-plant.alpha, upper)
-    if np.ndim(t):
+    if x0 < -plant.r:
+        # below -r, flow_x's x0 - (r - x0)*expm1 cancels to a few ulps of x0 as
+        # the climb rises (1.3e-7 of it near -alpha from x0 = -1e28), while
+        # r + (x0 - r)*e**(-t/tau) keeps a few ulps of the climb itself
+        decay = np.array([math.exp(-dt / plant.tau) for dt in np.atleast_1d(t)])
+        climb = plant.r + (x0 - plant.r) * decay
+    elif np.ndim(t):
         climb = flow_x_grid(np.array([x0]), t, plant)[0]
-        return (np.minimum(climb, -plant.alpha), plant.alpha)
-    return (min(flow_x(x0, t, plant), -plant.alpha), plant.alpha)
+    else:
+        climb = np.array([flow_x(x0, t, plant)])
+    lower = np.minimum(climb, -plant.alpha)
+    return (lower if np.ndim(t) else float(lower[0]), plant.alpha)
 
 
 def ub_ic_slow(plant: PlantParams) -> float:

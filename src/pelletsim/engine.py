@@ -31,9 +31,13 @@ an exact cycle within a few thousand ticks.  The search is Brent's (BIT
 20, 1980): each fire compares its state with one saved post-fire state,
 which moves on after 1, 2, 3, 4, 6, 8, 11, 14, ... fires, each stretch a
 quarter longer than the last plus one, so a run that never repeats pays a
-float comparison per fire and keeps O(1) state.  Brent's stretches double,
-so a repeat can be seen up to twice the orbit's entry late; these see it
-about a quarter late, plus a period.  The orbit found is the
+float comparison per fire and keeps O(1) state.  A repeat is seen once a
+stretch has reached the period past the orbit's entry.  Where the entry is
+much longer than the period, as on every shipped NM scenario, these
+stretches see it at most about a third of the entry late, where Brent's
+doubling ones can be a whole entry late.  Where the period dominates, they
+need up to about 6 periods against doubling's 3 (a 20-fire period from the
+first fire is seen at fire 87, against 51).  The orbit found is the
 trajectory's `orbit`: (first post-fire tick, period in ticks).
 
 The array forms are exact, not approximate: every sample is bit-identical

@@ -64,16 +64,15 @@ def certified_bound(traj: Trajectory, cert: Certificate, rows: slice = slice(Non
 
 def check_envelope(traj: Trajectory, cert: Certificate) -> tuple[bool | None, CheckWitness | None]:
     """Every row the certificate bounds inside its bound (lower exclusive, upper
-    inclusive, relative slack 1e-9 of r, or of |x[0]| under an envelope from
-    an x[0] past r).  Not applicable without a feasible one."""
+    inclusive), with slack 1e-9*r; below a row's lower bound under -r, 1e-9
+    of that bound, as an envelope from x[0] < -r starts at x[0] itself.  Not
+    applicable without a feasible one."""
     if not cert.feasible:
         return None, None
     first, lower, upper = certified_bound(traj, cert)
-    scale = traj.plant.r
-    if cert.bound_scope == "trajectory":  # the envelope's lower bound is x[0] at t = 0
-        scale = max(scale, abs(float(traj.x[0])))
-    x, eps = traj.x[first:], _REL_SLACK * scale
-    i = _first(~((lower - eps < x) & (x <= upper + eps)))
+    x, r = traj.x[first:], traj.plant.r
+    lo_eps = _REL_SLACK * np.maximum(r, np.abs(lower))
+    i = _first(~((lower - lo_eps < x) & (x <= upper + _REL_SLACK * r)))
     if i is None:
         return True, None
     lower_i, upper_i = (float(np.broadcast_to(b, x.shape)[i]) for b in (lower, upper))

@@ -4,6 +4,7 @@ Frozen values were computed with mpmath at 40 digits.
 """
 
 import math
+from decimal import Context, Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -133,6 +134,18 @@ class TestEnvelope:
         lower, upper = envelope(ts, -1.5e19, plant)
         assert lower.tolist() == [envelope(float(t), -1.5e19, plant)[0] for t in ts]
         assert upper == plant.alpha
+
+    def test_climb_from_far_below_the_reference_keeps_its_own_precision(self, plant):
+        # x0 - (r - x0)*expm1 would cancel to a few ulps of x0 = -1e28, 1.3e-7
+        # of the climb near -alpha at t = 1.8; the bound keeps 1e-14 of it
+        ts = np.linspace(0.0, 1.8, 181)
+        lower, _ = envelope(ts, -1e28, plant)
+        assert lower.tolist() == [envelope(float(t), -1e28, plant)[0] for t in ts]
+        r, tau = Decimal(plant.r), Decimal(plant.tau)
+        with localcontext(Context(prec=40)):
+            exact = [r + (Decimal(-1e28) - r) * (-Decimal(t) / tau).exp() for t in ts]
+        assert exact[-1] < -plant.alpha
+        assert all(abs(Decimal(lo) / ex - 1) <= Decimal(1e-14) for lo, ex in zip(lower, exact))
 
     def test_upper_strictly_decreasing_for_positive_start(self, plant):
         ts = np.linspace(0.0, 1.0, 300)

@@ -289,15 +289,9 @@ def test_steady_mean_near_the_float_range_is_finite(tmp_path):
 # from an x0 far below -r, a feasible certificate failed its own first row:
 # the envelope's lower bound is x0 at t = 0, exclusive, and the slack of
 # 1e-9 r fell below half an ulp of x0 (nm_tracking from x0 = -1e27 on)
-@pytest.mark.parametrize("name, x0", [
-    ("nm_tracking", -1e27),
-    ("nm_tracking", -1e28),
-    ("nm_tracking", -1e30),
-    ("nm_tracking", -1e300),
-    ("sdm_jm", -1e28),
-    ("sdm_ic_fast", -1e28),
-    ("nm_gas_gun", -1e28),
-], ids=lambda value: str(value))
+@pytest.mark.parametrize("name, x0", [("nm_tracking", x0) for x0 in (-1e27, -1e28, -1e30, -1e300)]
+                         + [(name, -1e28) for name in ("sdm_jm", "sdm_ic_fast", "nm_gas_gun")],
+                         ids=lambda value: str(value))
 def test_initial_error_far_below_the_reference_stays_in_its_envelope(name, x0, tmp_path, capsys):
     path = _nm_with({"init": {"x0": x0}}, tmp_path, SCENARIO_DIR / f"{name}.json")
     assert main(["verify", path, "-o", str(tmp_path / "out")]) == 0

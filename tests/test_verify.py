@@ -63,6 +63,18 @@ class TestEnvelope:
             ok, _ = check_envelope(prefix, cert)
             assert ok is True
 
+    @pytest.mark.parametrize("factor", [1.5, -1.5])
+    def test_far_below_the_reference_each_row_has_its_bounds_slack(self, nm_tracking, factor):
+        # from x0 = -1e28 = -1e9 alpha a slack of 1e-9 |x0| would be alpha
+        # itself; the last row's bound is (-alpha, alpha] and its slack 1e-9 r
+        traj, cert = run(replace(nm_tracking, x0=-1e28, t_end=3.0))
+        assert check_envelope(traj, cert) == (True, None)
+        alpha = traj.plant.alpha
+        ok, witness = check_envelope(replace(traj, x=np.append(traj.x[:-1], factor * alpha)), cert)
+        assert ok is False
+        assert (witness.t, witness.value, witness.lower, witness.upper) == (
+            traj.t[-1], factor * alpha, -alpha, alpha)
+
     def test_widened_bound_checked_on_steady_window(self, ic_slow):
         traj, cert = run(ic_slow)
         assert cert.bound_scope == "steady_state"
