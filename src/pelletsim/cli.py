@@ -49,7 +49,7 @@ def _cmd_sweep(args) -> int:
     try:
         values = [float(v) for v in args.values.split(",") if v.strip()]
     except ValueError:
-        print("could not parse --values as comma-separated numbers", file=sys.stderr)
+        print("error: could not parse --values as comma-separated numbers", file=sys.stderr)
         return 2
     rows = io.sweep(scenario, args.axis, values, outdir=args.outdir)
     print(f"wrote {args.outdir}/sweep.csv ({len(rows)} rows)")

@@ -60,6 +60,9 @@ class ActuatorMode(str, Enum):
     GAS_GUN = "gas_gun"
 
 
+TICK_EPS = 1e-9  # a duration within TICK_EPS ticks of a whole number of ticks is that number
+
+
 def _require_positive(name: str, value: float) -> None:
     if not (value > 0.0) or not math.isfinite(value):
         raise NonPositiveParam(f"{name} must be positive and finite, got {value!r}")
@@ -136,8 +139,7 @@ class ActuatorSpec:
         the preparation gate is disabled or shorter than one tick)."""
         if not self.t_prep > 0.0:
             return 1
-        # shave float noise so an exact multiple does not round up
-        return max(1, math.ceil(self.t_prep / self.t_c - 1e-9))
+        return max(1, math.ceil(self.t_prep / self.t_c - TICK_EPS))
 
 
 @dataclass(frozen=True)

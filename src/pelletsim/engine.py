@@ -57,6 +57,7 @@ from . import flow
 from .controllers import tick_jump
 from .core import (
     CHUNK,
+    TICK_EPS,
     ActuatorSpec,
     ControllerSpec,
     HybridState,
@@ -66,9 +67,6 @@ from .core import (
     Variant,
     validate,
 )
-
-# relative slack used when counting whole ticks inside a horizon
-_TICK_EPS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -115,12 +113,12 @@ class Scenario:
 
     def horizon_ticks(self) -> tuple[int, float]:
         """The whole ticks in [0, t_end], and the length of the partial last
-        interval after them (0.0 when there is none).  A horizon within 1e-9
-        ticks of a tick ends on that tick, so no sliver of flow is left."""
+        interval after them (0.0 when there is none).  A horizon within
+        TICK_EPS ticks of a tick ends on that tick, so no sliver of flow is left."""
         t_c = self.actuator.t_c
-        n_ticks = int(math.floor(self.t_end / t_c + _TICK_EPS))
+        n_ticks = int(math.floor(self.t_end / t_c + TICK_EPS))
         remainder = self.t_end - t_c * n_ticks
-        return n_ticks, remainder if remainder > _TICK_EPS * t_c else 0.0
+        return n_ticks, remainder if remainder > TICK_EPS * t_c else 0.0
 
 
 def simulate(scenario: Scenario) -> Trajectory:
@@ -143,7 +141,11 @@ def simulate(scenario: Scenario) -> Trajectory:
     # pre-jump state of tick i+1, so the rows read in order are the samples;
     # entry 0 of row k is fired when tick k fired a pellet
     shape = (n_ticks + 1, spt + 1)
-    x_grid, xi_grid, fired_grid = np.empty(shape), np.empty(shape), np.zeros(shape, dtype=bool)
+    try:
+        x_grid, xi_grid, fired_grid = np.empty(shape), np.empty(shape), np.zeros(shape, dtype=bool)
+    except MemoryError:  # an input the host cannot hold, not a failed check
+        raise ValidationError(f"t_end={scenario.t_end!r} needs {17 * shape[0] * shape[1]:,} "
+                              "bytes of columns, which cannot be allocated") from None
 
     # pass 1: the tick recurrence on boundary states, written straight into
     # the grids' first column (the initial state, then the post-jump states)
@@ -187,7 +189,7 @@ def simulate(scenario: Scenario) -> Trajectory:
     # a partial last interval: the interior samples that fit, then t_end
     offsets = [t_c * (m / spt) for m in range(1, spt)]  # interior flow times
     tail = remainder > 0.0
-    n_tail = sum(dt < remainder - _TICK_EPS * t_c for dt in offsets)
+    n_tail = sum(dt < remainder - TICK_EPS * t_c for dt in offsets)
 
     # pass 2: the interior samples of the rows that pass 1 reached, which
     # exist only when spt > 1

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import bounds
-from .core import Certificate, Trajectory, Variant
+from .core import TICK_EPS, Certificate, Trajectory, Variant
 from .engine import steady_state_window
 
 # absolute slack for density comparisons, scaled by the reference magnitude
@@ -83,6 +83,7 @@ def check_envelope(traj: Trajectory, cert: Certificate) -> tuple[bool | None, Ch
 
 def check_zeno(traj: Trajectory) -> tuple[bool, CheckWitness | None]:
     """Jump counts never exceed floor(t/t_c) + 1 (minimum dwell one tick)."""
+    # its own 1e-9, not core.TICK_EPS: it cross-checks the engine's tick count
     limit = np.floor(traj.t / traj.actuator.t_c + 1e-9).astype(np.int64) + 1
     i = _first(traj.j > limit)
     if i is None:
@@ -93,21 +94,23 @@ def check_zeno(traj: Trajectory) -> tuple[bool, CheckWitness | None]:
 
 def _cycles(traj: Trajectory) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rows that open a pellet cycle with positive error (the initial row and
-    every post-fire row with x > 0), each with the row of the next fire
-    strictly later in time, or -1 when there is none."""
+    every post-fire row with x > 0), each with the next fire row after it
+    (a tick has one post-jump row: the next fire in time), or -1 if none."""
     fire_rows = np.flatnonzero(traj.fired)
     starts = np.flatnonzero(traj.fired & (traj.x > 0.0))
     if traj.x[0] > 0.0:
         starts = np.concatenate(([0], starts))
-    nxt = np.searchsorted(traj.t[fire_rows], traj.t[starts], side="right")
+    nxt = np.searchsorted(fire_rows, starts, side="right")
     next_fire = np.append(fire_rows, -1)[nxt]
     return starts, next_fire, next_fire >= 0
 
 
 def check_dwell(traj: Trajectory, cert: Certificate) -> tuple[bool | None, CheckWitness | None]:
     """Gaps from a positive-error cycle start to the next fire stay within
-    tau_d.  Claimed only for the reset family (NM, SDM_JM) under a full
-    certificate; a trailing gap already longer than tau_d also fails."""
+    tau_d, counted in whole ticks: j[next fire] - j[start] <= tau_d/t_c.  A
+    cycle with no later fire is due at tick j[-1] + 1, so it fails once the
+    run has passed its last tick within tau_d without a fire.  Claimed only
+    for the reset family (NM, SDM_JM) under a full certificate."""
     applicable = (
         cert.feasible
         and cert.bound_scope == "trajectory"
@@ -115,15 +118,16 @@ def check_dwell(traj: Trajectory, cert: Certificate) -> tuple[bool | None, Check
     )
     if not applicable:
         return None, None
-    limit = cert.tau_d + 1e-9 * traj.actuator.t_c
+    limit = cert.tau_d / traj.actuator.t_c  # not floored: an infinite one holds every gap
     starts, next_fire, has_next = _cycles(traj)
-    t_start = traj.t[starts]
-    gaps = np.where(has_next, traj.t[next_fire], traj.t_end) - t_start
-    i = _first(gaps > limit)
+    gaps = np.where(has_next, traj.j[next_fire], traj.j[-1] + 1) - traj.j[starts]
+    i = _first(gaps > limit + TICK_EPS)
     if i is None:
         return True, None
-    note = "inter-pellet gap" if has_next[i] else "no fire within the certified dwell bound"
-    return False, CheckWitness(float(t_start[i]), 0, float(gaps[i]), None, cert.tau_d, note)
+    note = "ticks to the next fire" if has_next[i] else "ticks to the end without a fire"
+    start = starts[i]
+    return False, CheckWitness(float(traj.t[start]), int(traj.j[start]), float(gaps[i]), None,
+                               limit, note)
 
 
 def check_contraction(traj: Trajectory, cert: Certificate) -> tuple[bool | None, CheckWitness | None]:
@@ -144,18 +148,15 @@ def check_contraction(traj: Trajectory, cert: Certificate) -> tuple[bool | None,
     if i is None:
         return True, None
     end = ends[i]
-    return False, CheckWitness(float(traj.t[end]), 0, float(traj.x[end]), None, float(target[i]),
-                               "cycle did not contract")
+    return False, CheckWitness(float(traj.t[end]), int(traj.j[end]), float(traj.x[end]), None,
+                               float(target[i]), "cycle did not contract")
 
 
 def detect_windup(traj: Trajectory) -> bool:
-    """Wind-up signature: two consecutive fires that both leave a residue at
-    or above the threshold, or any sample undershooting -alpha."""
-    high = traj.xi[traj.fired] >= traj.controller.delta
-    if np.any(high[:-1] & high[1:]):
-        return True
-    floor = -traj.plant.alpha - 1e-12 * traj.plant.r
-    return bool(np.any(traj.x < floor))
+    """Wind-up: a fire that leaves a residue xi >= delta, as plain
+    sigma-delta's jump xi+ = xi - delta can; the reset, SDM_JM's fmod and
+    ungated clipped input from xi0 < delta leave less than one threshold."""
+    return bool(np.any(traj.xi[traj.fired] >= traj.controller.delta))
 
 
 @dataclass(frozen=True)
@@ -218,13 +219,10 @@ def compute_metrics(traj: Trajectory) -> Metrics:
     t, x = traj.t, traj.x
     window = x[steady_state_window(traj):]
     alpha, r = traj.plant.alpha, traj.plant.r
-    inside = (x > -alpha) & (x <= alpha + _REL_SLACK * r)
-    settling: float | None
-    if inside.all():
-        settling = 0.0
-    else:
-        last_out = int(np.max(np.nonzero(~inside)[0]))
-        settling = float(t[last_out + 1]) if last_out + 1 < len(t) else None
+    outside = np.flatnonzero(~((x > -alpha) & (x <= alpha + _REL_SLACK * r)))
+    # settled from the row after the last one outside the band, if the run has it
+    settled = int(outside[-1]) + 1 if len(outside) else 0
+    settling = float(t[settled]) if settled < len(t) else None
     lo, hi = float(window.min()), float(window.max())
     n = len(window)  # past half the float range the sum overflows, and window/n does not
     mean = window.mean() if max(-lo, hi) * n < sys.float_info.max / 2 else np.sum(window / n)
@@ -252,17 +250,13 @@ class VerifyReport:
         return False not in self.verdicts.values()
 
     def failures(self) -> list[dict]:
-        witnesses = {name: asdict(w) for name, w in self.witnesses.items()}
-        return [{"check": name, "witness": witnesses.get(name)}
+        """Each failed check with its witness: the one place summary.json holds it."""
+        return [{"check": name, "witness": asdict(self.witnesses[name])}
                 for name, ok in self.verdicts.items() if ok is False]
 
     def as_dict(self) -> dict:
-        d: dict = {name: self.status(name) for name in self.verdicts}
-        d["windup_detected"] = self.windup_detected
-        d["metrics"] = asdict(self.metrics)
-        if self.witnesses:
-            d["witnesses"] = {name: asdict(w) for name, w in self.witnesses.items()}
-        return d
+        return {**{name: self.status(name) for name in self.verdicts},
+                "windup_detected": self.windup_detected, "metrics": asdict(self.metrics)}
 
 
 def report(traj: Trajectory, cert: Certificate) -> VerifyReport:

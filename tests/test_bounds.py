@@ -223,6 +223,13 @@ class TestCertify:
         )
         assert not cert.feasible
 
+    def test_prep_time_past_the_dwell_bound_says_so(self, plant):
+        # t_prep = 1.5 tau_d: the reason names the preparation time, not the tick
+        cert = certify(plant, ActuatorSpec(t_c=0.001, t_prep=1.5 * plant.tau_d),
+                       ControllerSpec(Variant.NM, 1e12))
+        assert not cert.feasible
+        assert cert.reason == "preparation time exceeds the certified dwell bound"
+
     def test_clipped_variant_with_multi_tick_prep_flagged(self, plant):
         cert = certify(
             plant, ActuatorSpec(t_c=0.005, t_prep=0.02), ControllerSpec(Variant.SDM_IC, 1e14)

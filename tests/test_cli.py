@@ -298,6 +298,85 @@ def test_initial_error_far_below_the_reference_stays_in_its_envelope(name, x0, t
     assert "envelope: pass" in capsys.readouterr().out
 
 
+def test_a_failed_check_exits_1_with_its_witness_under_failures(tmp_path, capsys):
+    # ROADMAP direction 4's repro, certified feasible: from xi0 > delta the
+    # first tick fires whatever x is, and x falls below -alpha at t = t_c
+    # (row j = 1).  Direction 4's mend will make this run pass
+    path = _nm_with({"init": {"x0": -1.5e19, "xi0": 3.2e16}}, tmp_path)
+    assert main(["verify", path, "-o", str(tmp_path / "out")]) == 1
+    assert "envelope: fail" in capsys.readouterr().out
+    summary = strict_json((tmp_path / "out" / "summary.json").read_text())
+    assert summary["passed"] is False
+    assert "witnesses" not in summary["verify"]  # a witness is written once, under failures
+    [failure] = summary["failures"]
+    witness = failure["witness"]
+    assert failure["check"] == "envelope" and witness["note"] == "envelope"
+    assert (witness["t"], witness["j"]) == (summary["scenario"]["actuator"]["t_c"], 1)
+    assert witness["value"] < witness["lower"] == -1e19
+
+
+def test_a_run_that_cannot_be_allocated_is_usage_error(monkeypatch, tmp_path, capsys):
+    # t_end = 1e7 is 7e8 ticks at 10 samples a tick, 57 GiB a column.  A host
+    # that overcommits memory may grant that and then end the run by its OOM
+    # killer, so the refusal is simulated: a request past 1 GiB raises
+    import numpy as np
+
+    empty = np.empty
+
+    def refuse_large(shape, *args, **kwargs):
+        if math.prod(shape) * 8 > 2**30:
+            raise MemoryError("Unable to allocate")
+        return empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", refuse_large)
+    assert main(["verify", _nm_with({"sim": {"t_end": 1e7}}, tmp_path),
+                 "-o", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: t_end=10000000.0 needs 130,900,000,187 bytes of columns, "
+                   "which cannot be allocated\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_compare_oracle_reports_a_fire_decision_mismatch(tmp_path, capsys):
+    # ROADMAP direction 5's repro: from x0 = 0.519 r each decision of
+    # sdm_ic_slow sits on the threshold tie, and RK4 without event location
+    # decides tick 66 the other way
+    base = SCENARIO_DIR / "sdm_ic_slow.json"
+    r = json.loads(base.read_text())["plant"]["r"]
+    assert main(["compare-oracle", _nm_with({"init": {"x0": 0.519 * r}}, tmp_path, base)]) == 1
+    assert "fire decision mismatch at tick 66 (t=0.957143s)" in capsys.readouterr().out
+
+
+def _edited(tmp_path, edit):
+    """Path of nm_tracking.json's document as `edit(doc)` returns it."""
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(edit(json.loads(Path(NM).read_text()))))
+    return str(path)
+
+
+@pytest.mark.parametrize("edit, error", [
+    pytest.param(lambda doc: [doc], "top level must be an object", id="top-level"),
+    pytest.param(lambda doc: {**doc, "plant": 5}, "section 'plant' must be an object",
+                 id="section"),
+    pytest.param(lambda doc: {**doc, "actuator": {**doc["actuator"], "mode": "railgun"}},
+                 "actuator.mode must be 'centrifuge' or 'gas_gun', got 'railgun'", id="mode"),
+    pytest.param(lambda doc: {**doc, "init": {**doc["init"], "xi0": -1.0}},
+                 "xi0 must be nonnegative", id="xi0"),
+    pytest.param(lambda doc: {**doc, "sim": {**doc["sim"], "t_end": 0.0}},
+                 "t_end must be positive", id="t_end-0"),
+    pytest.param(lambda doc: {**doc, "sim": {**doc["sim"], "t_end": -1.0}},
+                 "t_end must be positive", id="t_end-negative"),
+])
+def test_a_bad_scenario_is_one_error_line(edit, error, tmp_path, capsys):
+    assert main(["verify", _edited(tmp_path, edit), "-o", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
+
+
+def test_sweep_values_that_are_not_numbers_are_usage_error(tmp_path, capsys):
+    assert main(["sweep", NM, "-o", str(tmp_path), "--axis", "delta", "--values", "a,b"]) == 2
+    assert capsys.readouterr().err == "error: could not parse --values as comma-separated numbers\n"
+
+
 # RK4's step factor g = 1 + z + z**2/2 + z**3/6 + z**4/24, z = -h/tau, passes 1
 # at h = 2.785 tau: nm_tracking's step at 1000 steps a tick is 1.43e-5 s, and
 # the oracle diverged with an OverflowError (g = 2.99), a TypeError (g =

@@ -131,3 +131,6 @@ def test_prep_ticks_rounding():
     assert ActuatorSpec(t_c=0.007, t_prep=0.014).prep_ticks() == 2
     assert ActuatorSpec(t_c=0.007, t_prep=0.0).prep_ticks() == 1
     assert ActuatorSpec(t_c=0.007, t_prep=0.004).prep_ticks() == 1
+    # within core.TICK_EPS of a whole tick count is that count, and no further
+    assert ActuatorSpec(t_c=0.007, t_prep=2.0005 * 0.007).prep_ticks() == 3
+    assert ActuatorSpec(t_c=0.007, t_prep=2 * (1 + 1e-12) * 0.007).prep_ticks() == 2

@@ -21,6 +21,7 @@ from pelletsim import (
     report,
     simulate,
 )
+from pelletsim.verify import CheckWitness, certified_bound
 
 from conftest import make_scenario
 
@@ -31,6 +32,14 @@ def run(scenario):
     cert = certify(scenario.plant, scenario.actuator, scenario.controller)
     traj = simulate(scenario)
     return traj, cert
+
+
+def hand_built(scenario, j, x, fired, xi=None):
+    """A trajectory of post-jump rows only, row i at t = j[i]*t_c: the rows
+    that the tick-counted checks read."""
+    t = np.asarray(j) * scenario.actuator.t_c
+    return Trajectory(t, j, x, [0.0] * len(j) if xi is None else xi, fired, scenario.plant,
+                      scenario.controller, scenario.actuator)
 
 
 class TestEnvelope:
@@ -74,6 +83,13 @@ class TestEnvelope:
         assert ok is False
         assert (witness.t, witness.value, witness.lower, witness.upper) == (
             traj.t[-1], factor * alpha, -alpha, alpha)
+
+    @pytest.mark.parametrize("slack, ok", [(0.5e-9, True), (2e-9, False)])
+    def test_upper_bound_has_a_slack_of_1e_9_r(self, nm_tracking, slack, ok):
+        traj, cert = run(nm_tracking)
+        upper = float(np.broadcast_to(certified_bound(traj, cert)[2], traj.x.shape)[-1])
+        x = np.append(traj.x[:-1], upper + slack * traj.plant.r)
+        assert check_envelope(replace(traj, x=x), cert)[0] is ok
 
     def test_widened_bound_checked_on_steady_window(self, ic_slow):
         traj, cert = run(ic_slow)
@@ -158,6 +174,37 @@ class TestDwell:
         traj, cert = run(sdm_windup)
         assert check_dwell(traj, cert) == (None, None)
 
+    # nm_prep_gate: tau_d/t_c = 3.19, so a gap of 3 ticks is within tau_d and 4
+    # is not; the cycle opens at x = 0.05 alpha, just above 0
+    @pytest.mark.parametrize("gap, ok", [(3, True), (4, False)])
+    def test_gaps_are_counted_in_whole_ticks(self, nm_prep_gate, gap, ok):
+        cert = certify(nm_prep_gate.plant, nm_prep_gate.actuator, nm_prep_gate.controller)
+        assert int(cert.tau_d / nm_prep_gate.actuator.t_c) == 3
+        x = [-1e19, 0.05 * nm_prep_gate.plant.alpha, 0.0]
+        traj = hand_built(nm_prep_gate, [0, 5, 5 + gap], x, [False, True, True])
+        verdict, witness = check_dwell(traj, cert)
+        assert verdict is ok
+        if not ok:
+            assert (witness.t, witness.j, witness.value, witness.upper, witness.note) == (
+                traj.t[1], 5, 4.0, cert.tau_d / nm_prep_gate.actuator.t_c, "ticks to the next fire")
+
+    # a cycle with no later fire is due at the tick after the run's last.
+    # Two ticks after it opened, its next fire may still come at tick 3,
+    # within 3.19; three ticks after, the earliest is tick 4, and it fails
+    # there, though its 3 ticks of time (0.021 s) are within tau_d
+    @pytest.mark.parametrize("ticks, ok", [(2, True), (3, False)])
+    def test_a_trailing_cycle_fails_at_its_last_tick_within_the_bound(self, nm_prep_gate, ticks,
+                                                                       ok):
+        cert = certify(nm_prep_gate.plant, nm_prep_gate.actuator, nm_prep_gate.controller)
+        x = [-1e19, 0.05 * nm_prep_gate.plant.alpha, 1e18]
+        traj = hand_built(nm_prep_gate, [0, 5, 5 + ticks], x, [False, True, False])
+        assert traj.t_end - traj.t[1] < cert.tau_d
+        verdict, witness = check_dwell(traj, cert)
+        assert verdict is ok
+        if not ok:
+            assert (witness.j, witness.value, witness.note) == (
+                5, 4.0, "ticks to the end without a fire")
+
 
 class TestContraction:
     def test_reference_run_contracts(self, nm_tracking):
@@ -168,6 +215,20 @@ class TestContraction:
     def test_only_for_reset_variant(self, jm_tracking):
         traj, cert = run(jm_tracking)
         assert check_contraction(traj, cert) == (None, None)
+
+    # a cycle opened at x = 0.05 alpha must end at or below gamma*x, with a
+    # slack of 1e-9 r
+    @pytest.mark.parametrize("slack, ok", [(0.5e-9, True), (2e-9, False)])
+    def test_a_cycle_contracts_within_a_slack_of_1e_9_r(self, nm_tracking, slack, ok):
+        cert = certify(nm_tracking.plant, nm_tracking.actuator, nm_tracking.controller)
+        start = 0.05 * nm_tracking.plant.alpha
+        end = cert.gamma * start + slack * nm_tracking.plant.r
+        traj = hand_built(nm_tracking, [0, 1, 2], [-1e19, start, end], [False, True, True])
+        verdict, witness = check_contraction(traj, cert)
+        assert verdict is ok
+        if not ok:
+            assert (witness.t, witness.j, witness.value, witness.upper) == (
+                traj.t[2], 2, end, cert.gamma * start)
 
 
 class TestWindup:
@@ -183,6 +244,31 @@ class TestWindup:
         traj, _ = run(jm_tracking)
         assert not detect_windup(traj)
 
+    # one fire that leaves a residue of a threshold or more, and only that
+    @pytest.mark.parametrize("residue, wound", [(1.0, True), (1.5, True),
+                                                (np.nextafter(1.0, 0.0), False)])
+    def test_a_fire_leaving_a_threshold_winds_up(self, sdm_windup, residue, wound):
+        delta = sdm_windup.controller.delta
+        traj = hand_built(sdm_windup, [0, 1, 2], [1e19, 0.0, 0.0], [False, True, False],
+                          xi=[0.0, residue * delta, 5.0 * delta])
+        assert detect_windup(traj) is wound
+
+    # a start below -alpha is a climb, not wind-up.  Plain SDM from -0.9 r
+    # still winds up (residues up to 7.7 thresholds); from -1e28 it has not
+    # fired by t_end
+    @pytest.mark.parametrize("start", ["-0.9r", "-1e28"])
+    @pytest.mark.parametrize("name", [path.stem for path in sorted(SCENARIO_DIR.glob("*.json"))])
+    def test_a_start_below_minus_alpha_is_not_windup(self, name, start):
+        scenario = load_scenario(SCENARIO_DIR / f"{name}.json")
+        x0 = -0.9 * scenario.plant.r if start == "-0.9r" else -1e28
+        traj = simulate(replace(scenario, x0=x0))
+        assert detect_windup(traj) is (name == "sdm_windup" and start == "-0.9r")
+
+    def test_a_reset_from_past_the_threshold_is_not_windup(self):
+        # ROADMAP direction 4's repro: the first tick fires from xi0 > delta
+        scenario = load_scenario(SCENARIO_DIR / "nm_tracking.json")
+        assert not detect_windup(simulate(replace(scenario, x0=-1.5e19, xi0=3.2e16)))
+
 
 class TestZeno:
     def test_holds_for_all_variants(self, plant):
@@ -191,6 +277,14 @@ class TestZeno:
             traj, _ = run(sc)
             ok, _ = check_zeno(traj)
             assert ok
+
+    def test_a_jump_count_past_the_tick_count_fails(self, nm_tracking):
+        # at t = t_c, j may reach floor(t/t_c) + 1 = 2, and j = 3 fails
+        traj = hand_built(nm_tracking, [0, 1, 2], [5e19] * 3, [False] * 3)
+        assert check_zeno(traj) == (True, None)
+        t_c = nm_tracking.actuator.t_c
+        ahead = replace(traj, j=[0, 3, 2])
+        assert check_zeno(ahead) == (False, CheckWitness(t_c, 3, 3.0, None, 2.0))
 
 
 class TestCompare:
@@ -211,8 +305,24 @@ class TestCompare:
 
     def test_grid_mismatch_raises(self, nm_tracking, ic_fast):
         a, b = simulate(nm_tracking), simulate(ic_fast)
-        with pytest.raises(GridMismatch):
+        with pytest.raises(GridMismatch, match="tick periods differ"):
             compare(a, b)
+        with pytest.raises(GridMismatch, match="tick counts differ: 70 vs 35"):
+            compare(a, simulate(replace(nm_tracking, t_end=0.5)))
+        # times 1 + 1.5e-10, tick i's pre-jump row at (i + 1) t_c moves past
+        # the 1e-9 t_c that compare allows from i = 6 on
+        with pytest.raises(GridMismatch, match="tick 6 occurs at different times"):
+            compare(a, replace(a, t=a.t * (1 + 1.5e-10)))
+
+    def test_x_deviations_are_scaled_by_alpha_near_zero(self, nm_tracking):
+        a = simulate(nm_tracking)
+        row = a.jump_rows()[-1] - 1  # the last pre-jump row, with |x| < alpha
+        assert abs(a.x[row]) < a.plant.alpha
+        x = a.x.copy()
+        x[row] += 2e-6 * a.plant.alpha
+        result = compare(a, replace(a, x=x))
+        assert result.max_rel_x == pytest.approx(2e-6, rel=1e-6)
+        assert not result.passed
 
 
 class TestMetricsAndReport:
@@ -223,12 +333,24 @@ class TestMetricsAndReport:
         assert 0.0 < m.settling_time < traj.t_end
         assert m.pellet_count == len(traj.t[traj.fired])
 
+    # from -1.5 alpha the run climbs into the band within the first tick: at
+    # 10 samples a tick the first sample inside is at 0.6 t_c, at 1 sample a
+    # tick the pre-jump row at t_c
+    @pytest.mark.parametrize("samples_per_tick, settling", [(1, 1.0), (10, 0.6)])
+    def test_settling_time_is_the_row_after_the_last_one_outside(self, nm_tracking,
+                                                                 samples_per_tick, settling):
+        scenario = replace(nm_tracking, x0=-1.5 * nm_tracking.plant.alpha,
+                           samples_per_tick=samples_per_tick)
+        m = compute_metrics(simulate(scenario))
+        assert m.settling_time == pytest.approx(settling * nm_tracking.actuator.t_c, rel=1e-12)
+
     def test_report_aggregates_and_passes(self, nm_tracking):
         traj, cert = run(nm_tracking)
         rep = report(traj, cert)
         assert rep.all_applicable_pass()
         assert rep.failures() == []
         d = rep.as_dict()
+        assert list(d) == ["envelope", "zeno", "dwell", "contraction", "windup_detected", "metrics"]
         assert d["envelope"] == "pass"
         assert d["windup_detected"] is False
 
